@@ -13,13 +13,15 @@ vet:
 
 # check is the pre-merge gate: vet, the full suite under the race detector
 # (transport reconnect/resume and the chaos soak are concurrent by
-# construction), then a deterministic torture smoke across the protocol x
-# adversary matrix. Uses -short to keep the soak at its fast schedule
-# count; run `make soak` for the full chaos sweep and `make torture` for a
-# longer campaign.
+# construction), the unit tests of the benchmark (a module of its own, which
+# ./... does not reach), then a deterministic torture smoke across the
+# protocol x adversary matrix. Uses -short to keep the soak at its fast
+# schedule count; run `make soak` for the full chaos sweep and `make torture`
+# for a longer campaign.
 check:
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+	$(GO) test -C benchmark ./...
 	$(GO) run -race ./cmd/torture -trials 50 -seed 1 -q
 
 soak:

@@ -56,30 +56,31 @@ func firstK(k int) []int {
 	return out
 }
 
-// dropTouching appends to drop the indices of all outbox messages with a
-// corrupted endpoint according to isCorrupted.
-func dropTouching(v *sim.View, isCorrupted func(p int) bool, alsoIncoming bool) []int {
+// dropTouching returns the indices of all outbox messages sent by a process
+// marked in bad (a mask indexed by process id), and also of those addressed
+// to one when alsoIncoming is set.
+func dropTouching(v *sim.View, bad []bool, alsoIncoming bool) []int {
 	var drop []int
 	for i, m := range v.Outbox {
-		if isCorrupted(m.From) || (alsoIncoming && isCorrupted(m.To)) {
+		if bad[m.From] || (alsoIncoming && bad[m.To]) {
 			drop = append(drop, i)
 		}
 	}
 	return drop
 }
 
-// corruptedSet merges the view's standing corruptions with a pending batch.
-func corruptedSet(v *sim.View, pending []int) map[int]bool {
-	m := make(map[int]bool)
-	for p, c := range v.Corrupted {
-		if c {
-			m[p] = true
+// corruptedSet merges the view's standing corruptions with a pending batch
+// into a mask indexed by process id. Pending ids outside [0, N) are left
+// out: rejecting them, with an error, is sim.Legality's job.
+func corruptedSet(v *sim.View, pending []int) []bool {
+	bad := make([]bool, v.N)
+	copy(bad, v.Corrupted)
+	for _, p := range pending {
+		if p >= 0 && p < v.N {
+			bad[p] = true
 		}
 	}
-	for _, p := range pending {
-		m[p] = true
-	}
-	return m
+	return bad
 }
 
 // StaticCrash corrupts a fixed target set in round 1 and silences all their
@@ -109,7 +110,7 @@ func (s *StaticCrash) Step(v *sim.View) sim.Action {
 		}
 	}
 	bad := corruptedSet(v, act.Corrupt)
-	act.Drop = dropTouching(v, func(p int) bool { return bad[p] }, false)
+	act.Drop = dropTouching(v, bad, false)
 	return act
 }
 
@@ -173,7 +174,7 @@ func (g *GroupKiller) Step(v *sim.View) sim.Action {
 		act.Corrupt = g.targets
 	}
 	bad := corruptedSet(v, act.Corrupt)
-	act.Drop = dropTouching(v, func(p int) bool { return bad[p] }, true)
+	act.Drop = dropTouching(v, bad, true)
 	return act
 }
 
@@ -330,7 +331,7 @@ func (d *DelayedStrike) Step(v *sim.View) sim.Action {
 		spent++
 	}
 	bad := corruptedSet(v, act.Corrupt)
-	act.Drop = dropTouching(v, func(p int) bool { return bad[p] }, false)
+	act.Drop = dropTouching(v, bad, false)
 	return act
 }
 

@@ -107,7 +107,7 @@ func (b *BudgetSchedule) Step(v *sim.View) sim.Action {
 	}
 
 	bad := corruptedSet(v, act.Corrupt)
-	act.Drop = dropTouching(v, func(p int) bool { return bad[p] }, true)
+	act.Drop = dropTouching(v, bad, true)
 	return act
 }
 

@@ -96,7 +96,7 @@ func (c *CoinHider) Step(v *sim.View) sim.Action {
 	if margin <= 0 {
 		// Balanced already — but crashes are permanent, so keep the
 		// corrupted processes silent.
-		return sim.Action{Drop: dropTouching(v, func(p int) bool { return v.Corrupted[p] }, false)}
+		return sim.Action{Drop: dropTouching(v, v.Corrupted, false)}
 	}
 
 	// Crash-style rebalancing (the mechanism of [10]'s lower bound, also
@@ -114,6 +114,6 @@ func (c *CoinHider) Step(v *sim.View) sim.Action {
 		}
 	}
 	bad := corruptedSet(v, act.Corrupt)
-	act.Drop = dropTouching(v, func(p int) bool { return bad[p] }, false)
+	act.Drop = dropTouching(v, bad, false)
 	return act
 }

@@ -35,7 +35,7 @@ func (c *CommitteeKiller) Step(v *sim.View) sim.Action {
 		}
 	}
 	bad := corruptedSet(v, act.Corrupt)
-	act.Drop = dropTouching(v, func(p int) bool { return bad[p] }, false)
+	act.Drop = dropTouching(v, bad, false)
 	return act
 }
 

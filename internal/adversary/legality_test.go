@@ -2,6 +2,8 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"omicon/internal/benor"
@@ -116,4 +118,115 @@ func make2(n, s int) []int {
 		}
 	}
 	return in
+}
+
+// TestOutOfRangePendingIdsAreHarmless pins what the corrupted-process mask
+// must keep from the map it replaced: a pending corruption batch naming a
+// process outside [0, N) neither panics a strategy nor changes what it
+// drops for the in-range ids — rejecting the batch, with an error, stays
+// sim.Legality's job.
+func TestOutOfRangePendingIdsAreHarmless(t *testing.T) {
+	const n, budget = 16, 8
+	standing := []int{2, 11}
+	view := func() *sim.View {
+		v := &sim.View{
+			Round: 1, N: n, T: budget,
+			Inputs:      make2(n, 0),
+			Corrupted:   make([]bool, n),
+			Terminated:  make([]bool, n),
+			Decisions:   make([]int, n),
+			Snapshots:   make([]any, n),
+			RandomCalls: make([]int64, n),
+			RandomBits:  make([]int64, n),
+		}
+		for _, p := range standing {
+			v.Corrupted[p] = true
+		}
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if to != from {
+					v.Outbox = append(v.Outbox, sim.Msg(from, to, benor.ValueMsg{B: from % 2}))
+				}
+			}
+		}
+		return v
+	}
+	// checkLegal runs act through the engine's checker, primed with the
+	// standing corruptions.
+	checkLegal := func(v *sim.View, act sim.Action) error {
+		leg := sim.NewLegality(n, budget)
+		if _, err := leg.Check(0, nil, sim.Action{Corrupt: standing}); err != nil {
+			return err
+		}
+		_, err := leg.Check(v.Round, v.Outbox, act)
+		return err
+	}
+
+	// The mask every strategy's Step goes through.
+	bad := corruptedSet(view(), []int{-1, 3, n})
+	if len(bad) != n {
+		t.Fatalf("mask has %d entries, want %d", len(bad), n)
+	}
+	for p, b := range bad {
+		if want := p == 2 || p == 3 || p == 11; b != want {
+			t.Errorf("mask[%d] = %v, want %v", p, b, want)
+		}
+	}
+
+	// Every registry family computes its own pending batch from the view,
+	// always in range: with corruptions already standing it must stay legal.
+	for _, adv := range Registry(n, budget-len(standing), 5) {
+		v := view()
+		if err := checkLegal(v, adv.Step(v)); err != nil {
+			t.Errorf("%s with standing corruptions: %v", adv.Name(), err)
+		}
+	}
+
+	// The families whose pending batch is a caller-supplied list are the
+	// ones that can actually be handed an out-of-range id.
+	g, err := graph.Build(n, graph.PracticalParams(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := []struct {
+		name  string
+		build func(targets []int) sim.Adversary
+	}{
+		{"static-crash", func(ts []int) sim.Adversary { return NewStaticCrash(ts) }},
+		{"group-killer", func(ts []int) sim.Adversary { return &GroupKiller{targets: ts} }},
+		{"committee-killer", func(ts []int) sim.Adversary { return NewCommitteeKiller(ts) }},
+		{"eclipse", func(ts []int) sim.Adversary {
+			e := NewEclipse(g, budget, n/4)
+			e.selected = ts
+			return e
+		}},
+		{"tree-cut", func(ts []int) sim.Adversary {
+			a := NewTreeCut(n, budget)
+			a.targets = ts
+			return a
+		}},
+	}
+	for _, f := range families {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			v := view()
+			clean := f.build([]int{1, 5}).Step(v)
+			if err := checkLegal(v, clean); err != nil || len(clean.Drop) == 0 {
+				t.Fatalf("in-range batch: %d drops, err %v", len(clean.Drop), err)
+			}
+			dirty := f.build([]int{-1, 1, n, 5}).Step(view())
+			if !slices.Equal(dirty.Drop, clean.Drop) {
+				t.Errorf("out-of-range ids changed the drops:\n got %v\nwant %v", dirty.Drop, clean.Drop)
+			}
+
+			_, err := sim.Run(sim.Config{N: n, T: budget, Inputs: make([]int, n), Seed: 1, Adversary: f.build([]int{-1, 1, n, 5})},
+				func(env sim.Env, _ int) (int, error) {
+					env.Exchange(sim.Broadcast(env.ID(), benor.ValueMsg{}, []int{(env.ID() + 1) % n}))
+					return 0, nil
+				})
+			if err == nil || !strings.Contains(err.Error(), "adversary corrupted invalid process") {
+				t.Errorf("sim.Run = %v, want the invalid-process rejection", err)
+			}
+		})
+	}
 }

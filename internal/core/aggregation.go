@@ -1,6 +1,7 @@
 package core
 
 import (
+	"omicon/internal/partition"
 	"omicon/internal/sim"
 )
 
@@ -131,10 +132,7 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		// majority of confirmations become inoperative — Lemma 1's
 		// intersection argument requires the acknowledgment to certify
 		// "your counts reached me", so acks are per-source. ---
-		out = out[:0]
-		for _, src := range heardFrom {
-			out = append(out, sim.Msg(id, src, AckMsg{}))
-		}
+		out = sim.AppendBroadcast(out[:0], id, AckMsg{}, heardFrom)
 		in = env.Exchange(out)
 		acks := 0
 		if operative {
@@ -153,11 +151,7 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 
 		// --- GroupRelay round 3: transmitters return the merged
 		// counts, tailored to each recipient's bag. ---
-		out = out[:0]
-		for _, q := range others {
-			qBag := p.Tree.BagOf(j, q-gi.base)
-			out = append(out, sim.Msg(id, q, bagToMsg(merged[qBag])))
-		}
+		out = appendMergedCounts(out[:0], id, p.Tree, j, gi.base, others, merged)
 		in = env.Exchange(out)
 
 		// Source role: count notifications and adopt the first
@@ -188,6 +182,23 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		myZeros = left.zeros + right.zeros
 	}
 	return myOnes, myZeros, operative
+}
+
+// appendMergedCounts appends a transmitter's round-3 messages of layer j:
+// every recipient in others gets the merged counts of its own bag. others
+// is ascending and BagOf is monotone in the member index, so the recipients
+// sharing a bag are a contiguous run, and each run shares one payload.
+func appendMergedCounts(out []sim.Message, id int, tree partition.Tree, j, base int, others []int, merged []mergedBag) []sim.Message {
+	for lo := 0; lo < len(others); {
+		bag := tree.BagOf(j, others[lo]-base)
+		hi := lo + 1
+		for hi < len(others) && tree.BagOf(j, others[hi]-base) == bag {
+			hi++
+		}
+		out = sim.AppendBroadcast(out, id, bagToMsg(merged[bag]), others[lo:hi])
+		lo = hi
+	}
+	return out
 }
 
 func bagToMsg(mb mergedBag) MergedCountsMsg {

@@ -10,9 +10,9 @@ import (
 // links ("refutes to accept messages from them in any future round of the
 // algorithm GroupBitsSpreading"). It also owns the per-epoch gossip
 // scratch, packed as bit-vectors and reused across epochs so that a
-// steady-state gossip round's only allocations are the exact-fit payload
-// slices (payloads are immutable once sent, per the Exchange contract, so
-// they cannot be pooled).
+// steady-state gossip round's only allocations are the round's one
+// exact-fit payload slice and its boxing (payloads are immutable once
+// sent, per the Exchange contract, so they cannot be pooled).
 type linkState struct {
 	neighbors   []int
 	disregarded *bitset.Set // pids whose links are permanently cut
@@ -20,25 +20,24 @@ type linkState struct {
 	// Per-epoch scratch, cleared at the top of groupBitsSpreading.
 	present *bitset.Set   // groups whose counts are known this epoch
 	entries []GroupCount  // entries[g] valid iff present.Contains(g)
-	sentTo  []*bitset.Set // per-neighbor dedup, indexed like neighbors
+	sent    *bitset.Set   // groups already gossiped, the same on every live link
 	heard   *bitset.Set   // pids heard this round
+	live    []int         // reused: this round's non-disregarded neighbors
 	out     []sim.Message // reused outbox (backing reusable after Exchange)
 }
 
 func newLinkState(p Params, id int) *linkState {
-	ls := &linkState{
-		neighbors:   p.Graph.Neighbors(id),
+	neighbors := p.Graph.Neighbors(id)
+	return &linkState{
+		neighbors:   neighbors,
 		disregarded: bitset.New(p.N),
 		present:     bitset.New(p.Decomp.NumGroups()),
 		entries:     make([]GroupCount, p.Decomp.NumGroups()),
+		sent:        bitset.New(p.Decomp.NumGroups()),
 		heard:       bitset.New(p.N),
+		live:        make([]int, 0, len(neighbors)),
+		out:         make([]sim.Message, 0, len(neighbors)),
 	}
-	ls.sentTo = make([]*bitset.Set, len(ls.neighbors))
-	for i := range ls.sentTo {
-		ls.sentTo[i] = bitset.New(p.Decomp.NumGroups())
-	}
-	ls.out = make([]sim.Message, 0, len(ls.neighbors))
-	return ls
 }
 
 // groupBitsSpreading implements Algorithm 3: GossipRounds rounds of
@@ -56,11 +55,14 @@ func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZ
 	present.Add(myGroup)
 	ls.entries[myGroup] = GroupCount{Group: myGroup, Ones: gOnes, Zeros: gZeros}
 
-	// sentTo deduplicates per link within this epoch: each group's counts
-	// travel over each edge at most once.
-	for _, sent := range ls.sentTo {
-		sent.Clear()
-	}
+	// sent deduplicates within this epoch: each group's counts travel over
+	// each edge at most once. One set serves every link. A link is cut for
+	// good once its neighbor is disregarded, and an inoperative process
+	// never sends again, so a neighbor still live in some round was sent to
+	// in every earlier round of the epoch: all live links have carried
+	// exactly the groups present at the previous send.
+	sent := ls.sent
+	sent.Clear()
 
 	operative = true
 	for r := 0; r < p.GossipRounds; r++ {
@@ -68,34 +70,33 @@ func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZ
 			env.Exchange(nil)
 			continue
 		}
-		out := ls.out[:0]
-		for qi, q := range ls.neighbors {
-			if ls.disregarded.Contains(q) {
-				continue
+		live := ls.live[:0]
+		for _, q := range ls.neighbors {
+			if !ls.disregarded.Contains(q) {
+				live = append(live, q)
 			}
-			// fresh = present \ sentTo[q]; the difference popcount sizes
-			// the payload exactly before a single ascending-order fill
-			// (the same order the old per-group scan produced).
-			sent := ls.sentTo[qi]
-			var fresh []GroupCount
-			nf := present.DifferenceCount(sent)
-			if p.NoGossipDedup {
-				nf = present.Count()
-			}
-			if nf > 0 {
-				fresh = make([]GroupCount, 0, nf)
-				present.ForEach(func(g int) bool {
-					if p.NoGossipDedup || !sent.Contains(g) {
-						fresh = append(fresh, ls.entries[g])
-						sent.Add(g)
-					}
-					return true
-				})
-			}
-			// An empty SpreadMsg is the heartbeat the disregard
-			// rule needs: silence means omission, not idleness.
-			out = append(out, sim.Msg(id, q, SpreadMsg{Entries: fresh}))
 		}
+		// fresh = present \ sent (all of present under NoGossipDedup); the
+		// popcount sizes the payload exactly before a single
+		// ascending-order fill.
+		var fresh []GroupCount
+		nf := present.DifferenceCount(sent)
+		if p.NoGossipDedup {
+			nf = present.Count()
+		}
+		if nf > 0 {
+			fresh = make([]GroupCount, 0, nf)
+			present.ForEach(func(g int) bool {
+				if p.NoGossipDedup || !sent.Contains(g) {
+					fresh = append(fresh, ls.entries[g])
+				}
+				return true
+			})
+			sent.CopyFrom(present)
+		}
+		// An empty SpreadMsg is the heartbeat the disregard rule needs:
+		// silence means omission, not idleness.
+		out := sim.AppendBroadcast(ls.out[:0], id, SpreadMsg{Entries: fresh}, live)
 		ls.out = out // keep the grown capacity
 		in := env.Exchange(out)
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -135,6 +136,37 @@ func BenchmarkEngineRoundSparse(b *testing.B) {
 		})
 	}
 }
+
+// benchOrderer times Orderer.Sort on one gossip round's worth of traffic
+// at n=1024 (every process sends to 32 ascending targets), restored from a
+// template before each sort. Sorted is what the engines hand over every
+// round — the early return, one read pass; Shuffled is the same batch in
+// random order — that pass wasted, then the two counting passes. Compare
+// at -cpu 1.
+func benchOrderer(b *testing.B, shuffle bool) {
+	const n, deg = 1024, 32
+	tmpl := make([]Message, 0, n*deg)
+	for p := 0; p < n; p++ {
+		for j := 0; j < deg; j++ {
+			tmpl = append(tmpl, Msg(p, p%deg+j*deg, bitPayload{1}))
+		}
+	}
+	if shuffle {
+		rand.New(rand.NewPCG(1, 2)).Shuffle(len(tmpl), func(i, j int) { tmpl[i], tmpl[j] = tmpl[j], tmpl[i] })
+	}
+	buf := make([]Message, len(tmpl))
+	var o Orderer[Message]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, tmpl)
+		o.Sort(buf, n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tmpl)), "ns/msg")
+}
+
+func BenchmarkOrdererSorted(b *testing.B)   { benchOrderer(b, false) }
+func BenchmarkOrdererShuffled(b *testing.B) { benchOrderer(b, true) }
 
 func byN(n int) string {
 	switch n {

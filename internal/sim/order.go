@@ -15,8 +15,9 @@ type Addressed interface {
 // (From, To) order using a two-pass stable counting sort: O(m + n) and
 // allocation-free once its scratch buffers are warm, versus the
 // reflect-driven sort.SliceStable closures it replaced on the engine's
-// hot path. The zero value is ready to use. An Orderer may be reused
-// across rounds but not concurrently.
+// hot path. A batch that arrives already ordered costs one read pass. The
+// zero value is ready to use. An Orderer may be reused across rounds but
+// not concurrently.
 type Orderer[T Addressed] struct {
 	counts  []int
 	scratch []T
@@ -26,7 +27,11 @@ type Orderer[T Addressed] struct {
 // the relative order of messages with equal endpoints — exactly the order
 // sort.SliceStable produced before. All endpoints must lie in [0, n).
 func (o *Orderer[T]) Sort(msgs []T, n int) {
-	if len(msgs) < 2 {
+	if inOrder(msgs) {
+		// A stable sort of a sorted batch is the identity. The engines
+		// assemble the outbox by ascending sender and protocols emit
+		// ascending targets, so this is the common case: one read pass,
+		// and the scratch below is never allocated.
 		return
 	}
 	if cap(o.counts) < n {
@@ -42,6 +47,22 @@ func (o *Orderer[T]) Sort(msgs []T, n int) {
 	// order with ties in original order.
 	countingPass(msgs, scratch, counts, false)
 	countingPass(scratch, msgs, counts, true)
+}
+
+// inOrder reports whether msgs is already in ascending (from, to) order.
+func inOrder[T Addressed](msgs []T) bool {
+	if len(msgs) < 2 {
+		return true
+	}
+	pf, pt := msgs[0].Endpoints()
+	for _, m := range msgs[1:] {
+		f, t := m.Endpoints()
+		if f < pf || (f == pf && t < pt) {
+			return false
+		}
+		pf, pt = f, t
+	}
+	return true
 }
 
 // countingPass stably distributes src into dst ordered by one endpoint

@@ -13,26 +13,57 @@ type indexPayload struct{ i int }
 
 func (p indexPayload) AppendWire(buf []byte) []byte { return buf }
 
+// byEndpoints sorts msgs into canonical (From, To) order with the standard
+// library's stable sort — the definition Orderer.Sort is held to.
+func byEndpoints(msgs []Message) {
+	sort.SliceStable(msgs, func(i, j int) bool {
+		if msgs[i].From != msgs[j].From {
+			return msgs[i].From < msgs[j].From
+		}
+		return msgs[i].To < msgs[j].To
+	})
+}
+
+// uniformBatch draws m messages with independent uniform endpoints.
+func uniformBatch(r interface{ IntN(int) int }, n, m int) []Message {
+	msgs := make([]Message, m)
+	for i := range msgs {
+		msgs[i] = Msg(r.IntN(n), r.IntN(n), indexPayload{i})
+	}
+	return msgs
+}
+
 // TestOrdererMatchesSliceStable is the property-based half of the canonical
 // order contract: on randomized batches — including the adversarial shapes
 // that tripped counting sorts historically (empty, single sender, all-to-one,
-// heavy duplicate endpoints) — Orderer.Sort must agree element-for-element
-// with sort.SliceStable under the (From, To) key, which is the order Drop
-// indices, transcripts and replay are defined against.
+// heavy duplicate endpoints) and the two shapes around the early return
+// (already canonical, and canonical but for the last pair) — Orderer.Sort
+// must agree element-for-element with sort.SliceStable under the (From, To)
+// key, which is the order Drop indices, transcripts and replay are defined
+// against. A canonical batch must also leave the sorting scratch
+// unallocated: that is what every round of a real trial relies on.
 func TestOrdererMatchesSliceStable(t *testing.T) {
 	type gen struct {
-		name  string
-		batch func(r interface{ IntN(int) int }, n, m int) []Message
+		name      string
+		canonical bool // every batch arrives in (From, To) order
+		batch     func(r interface{ IntN(int) int }, n, m int) []Message
 	}
 	gens := []gen{
-		{"uniform", func(r interface{ IntN(int) int }, n, m int) []Message {
-			msgs := make([]Message, m)
-			for i := range msgs {
-				msgs[i] = Msg(r.IntN(n), r.IntN(n), indexPayload{i})
+		{name: "uniform", batch: uniformBatch},
+		{name: "already-canonical", canonical: true, batch: func(r interface{ IntN(int) int }, n, m int) []Message {
+			msgs := uniformBatch(r, n, m)
+			byEndpoints(msgs)
+			return msgs
+		}},
+		{name: "canonical-with-last-pair-swapped", batch: func(r interface{ IntN(int) int }, n, m int) []Message {
+			msgs := uniformBatch(r, n, m)
+			byEndpoints(msgs)
+			if m >= 2 {
+				msgs[m-2], msgs[m-1] = msgs[m-1], msgs[m-2]
 			}
 			return msgs
 		}},
-		{"single-sender", func(r interface{ IntN(int) int }, n, m int) []Message {
+		{name: "single-sender", batch: func(r interface{ IntN(int) int }, n, m int) []Message {
 			from := r.IntN(n)
 			msgs := make([]Message, m)
 			for i := range msgs {
@@ -40,7 +71,7 @@ func TestOrdererMatchesSliceStable(t *testing.T) {
 			}
 			return msgs
 		}},
-		{"all-to-one", func(r interface{ IntN(int) int }, n, m int) []Message {
+		{name: "all-to-one", batch: func(r interface{ IntN(int) int }, n, m int) []Message {
 			to := r.IntN(n)
 			msgs := make([]Message, m)
 			for i := range msgs {
@@ -48,7 +79,7 @@ func TestOrdererMatchesSliceStable(t *testing.T) {
 			}
 			return msgs
 		}},
-		{"duplicate-pairs", func(r interface{ IntN(int) int }, n, m int) []Message {
+		{name: "duplicate-pairs", batch: func(r interface{ IntN(int) int }, n, m int) []Message {
 			// Few distinct (From, To) pairs, many duplicates: stability is
 			// the whole story here.
 			pairs := 1 + r.IntN(4)
@@ -67,22 +98,26 @@ func TestOrdererMatchesSliceStable(t *testing.T) {
 	}
 
 	r := rng.Unmetered(0x0edea, 1)
-	var o Orderer[Message]
+	var shared Orderer[Message]
 	for _, g := range gens {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
+			o := &shared
+			if g.canonical {
+				o = new(Orderer[Message])
+				defer func() {
+					if cap(o.scratch) != 0 {
+						t.Errorf("canonical batches allocated a sorting scratch of %d messages", cap(o.scratch))
+					}
+				}()
+			}
 			for trial := 0; trial < 200; trial++ {
 				n := 1 + r.IntN(40)
 				m := r.IntN(200) // includes the empty batch
 				batch := g.batch(r, n, m)
 
 				want := append([]Message(nil), batch...)
-				sort.SliceStable(want, func(i, j int) bool {
-					if want[i].From != want[j].From {
-						return want[i].From < want[j].From
-					}
-					return want[i].To < want[j].To
-				})
+				byEndpoints(want)
 
 				got := append([]Message(nil), batch...)
 				o.Sort(got, n) // reused orderer: scratch must not leak between batches

@@ -322,3 +322,15 @@ func TestNodeRejectsUntypedPayload(t *testing.T) {
 	node.Close()
 	<-errCh
 }
+
+// TestRawPayloadBitLenMatchesEncode is transport's row of the wire
+// package's TestBitLenMatchesEncode table: the coordinator accounts an
+// undecoded frame at its raw length, empty frame included.
+func TestRawPayloadBitLenMatchesEncode(t *testing.T) {
+	frame := wire.EncodeFrame(nil, floodset.SetMsg{Has0: true})
+	for _, p := range []rawPayload{frame, {}, nil} {
+		if got, want := wire.BitLen(p), int64(8*len(wire.Encode(p))); got != want || want != int64(8*len(p)) {
+			t.Errorf("BitLen(rawPayload of %d bytes) = %d, Encode gives %d bits", len(p), got, want)
+		}
+	}
+}

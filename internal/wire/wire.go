@@ -14,6 +14,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // ErrTruncated is returned by Decoder methods when the buffer ends before
@@ -35,9 +36,21 @@ func Encode(m Marshaler) []byte {
 	return m.AppendWire(nil)
 }
 
-// BitLen returns the size of m's encoding in bits.
+// bitLenScratch holds the buffers BitLen measures into. Every message sent
+// in a simulation is measured, from every process goroutine, so the
+// encoding goes into a reused buffer that keeps whatever capacity the
+// largest payload grew it to.
+var bitLenScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// BitLen returns the size of m's encoding in bits. It encodes m with
+// AppendWire — the single definition of every payload's format — and
+// discards the bytes.
 func BitLen(m Marshaler) int64 {
-	return int64(len(Encode(m))) * 8
+	bp := bitLenScratch.Get().(*[]byte)
+	buf := m.AppendWire((*bp)[:0])
+	*bp = buf
+	bitLenScratch.Put(bp)
+	return int64(len(buf)) * 8
 }
 
 // AppendUvarint appends v in LEB128 form.
