@@ -11,14 +11,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# check is the pre-merge gate: vet, the full suite under the race detector
-# (transport reconnect/resume and the chaos soak are concurrent by
-# construction), the unit tests of the benchmark (a module of its own, which
-# ./... does not reach), then a deterministic torture smoke across the
-# protocol x adversary matrix. Uses -short to keep the soak at its fast
-# schedule count; run `make soak` for the full chaos sweep and `make torture`
-# for a longer campaign.
+# check is the pre-merge gate: gofmt (any file it lists fails the gate),
+# vet, the full suite under the race detector (transport reconnect/resume
+# and the chaos soak are concurrent by construction), the unit tests of the
+# benchmark (a module of its own, which ./... does not reach), then a
+# deterministic torture smoke across the protocol x adversary matrix. Uses
+# -short to keep the soak at its fast schedule count; run `make soak` for the
+# full chaos sweep and `make torture` for a longer campaign.
 check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 	$(GO) test -C benchmark ./...

@@ -36,6 +36,11 @@ type ScheduleFuzzer struct {
 	// corruption burst.
 	keepProb  float64
 	burstProb float64
+
+	// Per-round scratch, reused across Steps: bad is indexed by process
+	// id, taken by outbox index.
+	bad   []bool
+	taken []bool
 }
 
 // NewScheduleFuzzer returns the strategy mutating base (pass a zero
@@ -60,7 +65,8 @@ func (f *ScheduleFuzzer) Name() string { return "sched-fuzz" }
 // Step implements sim.Adversary.
 func (f *ScheduleFuzzer) Step(v *sim.View) sim.Action {
 	var act sim.Action
-	bad := make(map[int]bool)
+	bad := resetMask(f.bad, v.N)
+	f.bad = bad
 	spent := 0
 	for p, c := range v.Corrupted {
 		if c {
@@ -107,7 +113,8 @@ func (f *ScheduleFuzzer) Step(v *sim.View) sim.Action {
 	// Drops. First replay the base round's drops (matched by endpoints in
 	// occurrence order, kept with keepProb), then sweep the remaining
 	// corrupted-endpoint traffic with a per-round intensity mode.
-	taken := make(map[int]bool)
+	taken := resetMask(f.taken, len(v.Outbox))
+	f.taken = taken
 	if hasBase && len(base.Drops) > 0 {
 		byPair := make(map[sim.Drop][]int)
 		for i, m := range v.Outbox {
@@ -148,6 +155,17 @@ func (f *ScheduleFuzzer) Step(v *sim.View) sim.Action {
 		}
 	}
 	return act
+}
+
+// resetMask returns mask resized to n with every entry false, reusing its
+// backing array when it is large enough.
+func resetMask(mask []bool, n int) []bool {
+	if cap(mask) < n {
+		return make([]bool, n)
+	}
+	mask = mask[:n]
+	clear(mask)
+	return mask
 }
 
 var _ sim.Adversary = (*ScheduleFuzzer)(nil)

@@ -417,11 +417,15 @@ func (p *Pool) serveWorker(pw *poolWorker) {
 			return
 		case t := <-p.tasks:
 			res := p.runOn(pw, t)
-			t.done <- res
 			if res.died {
+				// Record the death before the result wakes Execute, so
+				// a caller that sees the re-dispatched result also
+				// sees the death in Stats.
 				p.dropWorker(pw, fmt.Sprintf("died with %s in flight", t.key))
+				t.done <- res
 				return
 			}
+			t.done <- res
 		}
 	}
 }

@@ -44,11 +44,13 @@ type RelayMsg struct {
 func (m RelayMsg) AppendWire(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, uint64(m.Sender))
 	buf = wire.AppendUvarint(buf, uint64(m.V))
-	chain := make([]uint64, len(m.Chain))
-	for i, s := range m.Chain {
-		chain[i] = uint64(s)
+	// Count then elements, the layout of wire.AppendUvarints, without
+	// converting the chain into a []uint64 first.
+	buf = wire.AppendUvarint(buf, uint64(len(m.Chain)))
+	for _, s := range m.Chain {
+		buf = wire.AppendUvarint(buf, uint64(s))
 	}
-	return wire.AppendUvarints(buf, chain)
+	return buf
 }
 
 // Rounds returns the execution length for budget t: the t+1 broadcast

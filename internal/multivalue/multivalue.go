@@ -5,22 +5,24 @@
 // because faulty processes cannot equivocate (an omission-faulty proposer's
 // broadcast delivers either its true value or nothing):
 //
-//	0. every process broadcasts its input once; a process that receives
-//	   the same value from at least n-t distinct processes (counting
-//	   itself) "locks" it — at most one value can reach that count when
-//	   n > 2t, and if the non-faulty processes are unanimous they all
-//	   lock their common value;
-//	for proposer = 0, 1, ..., 2t (at most 2t+1 iterations):
-//	  1. the proposer broadcasts its value; holders echo it (processes
-//	     that missed the proposal adopt the value from an echo —
-//	     non-equivocation makes all echoes identical);
-//	  2. binary consensus on "is the proposal replicated?" — a process
-//	     endorses only a value held by at least t+1 distinct processes
-//	     (itself plus echo senders), and a locked process endorses only
-//	     its locked value;
-//	  3. if it decides 1, some t+1 processes held the value at echo time,
-//	     so at least one never-corrupted holder rebroadcasts it, and all
-//	     non-faulty processes output it.
+//  0. every process broadcasts its input once; a process that receives
+//     the same value from at least n-t distinct processes (counting
+//     itself) "locks" it — at most one value can reach that count when
+//     n > 2t, and if the non-faulty processes are unanimous they all
+//     lock their common value.
+//
+// Then, for proposer = 0, 1, ..., 2t (at most 2t+1 iterations):
+//
+//  1. the proposer broadcasts its value; holders echo it (processes
+//     that missed the proposal adopt the value from an echo —
+//     non-equivocation makes all echoes identical);
+//  2. binary consensus on "is the proposal replicated?" — a process
+//     endorses only a value held by at least t+1 distinct processes
+//     (itself plus echo senders), and a locked process endorses only
+//     its locked value;
+//  3. if it decides 1, some t+1 processes held the value at echo time,
+//     so at least one never-corrupted holder rebroadcasts it, and all
+//     non-faulty processes output it.
 //
 // The lock round buys *strong* validity: when every non-faulty process
 // starts with v they all lock v, every different proposal is unanimously

@@ -13,6 +13,13 @@ import (
 // member order; messages are translated in both directions; traffic from
 // non-members arriving in the same rounds is discarded (non-members are idle
 // by construction of the round-robin schedule).
+//
+// Exchange translates into two buffers the SubEnv owns and reuses every
+// round, which is exactly what the Env.Exchange aliasing contract grants:
+// the parent copies the outgoing messages at the barrier before it resumes
+// the sender, and a returned inbox is valid only until the caller's next
+// Exchange. The caller's out slice is never written, and neither is the
+// parent's inbox — that arena belongs to the engine.
 type SubEnv struct {
 	parent  Env
 	members []int       // sorted global ids
@@ -20,6 +27,9 @@ type SubEnv struct {
 	id      int         // local id of this process
 	t       int         // sub-budget exposed to the protocol
 	round   int
+
+	translated []Message // reused: this round's outbox under global ids
+	localIn    []Message // reused: this round's inbox under local ids
 }
 
 // NewSubEnv wraps parent for the given member set (any order; duplicates are
@@ -72,7 +82,7 @@ func (s *SubEnv) Span(name string) func() { return s.parent.Span(name) }
 
 // Exchange implements Env, translating identifiers both ways.
 func (s *SubEnv) Exchange(out []Message) []Message {
-	translated := make([]Message, 0, len(out))
+	translated := s.translated[:0]
 	for _, m := range out {
 		if m.To < 0 || m.To >= len(s.members) {
 			continue
@@ -82,9 +92,10 @@ func (s *SubEnv) Exchange(out []Message) []Message {
 		gm.To = s.members[m.To]
 		translated = append(translated, gm)
 	}
+	s.translated = translated // keep the grown capacity
 	in := s.parent.Exchange(translated)
 	s.round++
-	localIn := make([]Message, 0, len(in))
+	localIn := s.localIn[:0]
 	for _, m := range in {
 		lf, ok := s.local[m.From]
 		if !ok {
@@ -95,5 +106,6 @@ func (s *SubEnv) Exchange(out []Message) []Message {
 		lm.To = s.id
 		localIn = append(localIn, lm)
 	}
+	s.localIn = localIn
 	return localIn
 }
