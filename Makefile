@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check soak vet torture tournament tournament-smoke fuzz bench bench-json benchcheck chaos-smoke distrib-smoke
+.PHONY: build test check soak vet loc torture tournament tournament-smoke fuzz bench bench-json benchcheck chaos-smoke distrib-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints ROADMAP.md's size metric: non-test Go lines outside benchmark/
+# (a module of its own, contract-protected), internal packages, commands.
+# Net-negative here is a success metric; record before/after in CHANGES.md.
+loc:
+	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l)"
+	@echo "internal packages: $$(git ls-files 'internal/*.go' | cut -d/ -f2 | sort -u | wc -l)"
+	@echo "commands:          $$(git ls-files 'cmd/*/main.go' | wc -l)"
 
 # check is the pre-merge gate: gofmt (any file it lists fails the gate),
 # vet, the full suite under the race detector (transport reconnect/resume

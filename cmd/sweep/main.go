@@ -7,9 +7,10 @@
 // reproduction target is the shape: measured/envelope ratios bounded and
 // fitted exponents at or below the paper's.
 //
-// Besides the human-readable table, -json writes the full measurement set
-// as a machine-readable file (default BENCH_sweep.json; empty disables).
-// Its schema, versioned by the top-level "schema" string, is:
+// Besides the human-readable table, -json <file> writes the full
+// measurement set as a machine-readable file (off by default; the exact
+// cost gate of the repository is benchmark/model_costs.json, not this
+// file). Its schema, versioned by the top-level "schema" string, is:
 //
 //	{
 //	  "schema": "omicon/bench-sweep/v1",
@@ -35,38 +36,31 @@
 //
 // "rounds" counts rounds until the last non-faulty process terminated;
 // "commBits"/"randBits" are the totals of the paper's Section 2 metrics.
+//
+// -workers, -shards, -journal/-resume, -listen and the observability flags
+// are the bundle internal/campaigncli declares once for every campaign
+// command (docs/RESILIENCE.md, docs/DISTRIBUTED.md, docs/OBSERVABILITY.md).
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
-	"net"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
-	"syscall"
-	"time"
 
-	"omicon/internal/distrib"
+	"omicon/internal/campaign"
+	"omicon/internal/campaigncli"
 	"omicon/internal/experiments"
-	"omicon/internal/journal"
 	"omicon/internal/stats"
-	"omicon/internal/telemetry"
 )
 
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130)
-		}
-		os.Exit(1)
+		os.Exit(campaigncli.ExitCode(err, 1))
 	}
 }
 
@@ -93,114 +87,30 @@ const benchSchema = "omicon/bench-sweep/v1"
 
 func run() error {
 	var (
-		sizes      = flag.String("sizes", "64,128,256,512", "comma-separated system sizes")
-		seeds      = flag.Int("seeds", 3, "seeds per (size, adversary) cell")
-		base       = flag.Uint64("seed", 1, "base seed")
-		jsonPath   = flag.String("json", "BENCH_sweep.json", "write machine-readable results to this file (empty = off)")
-		workers    = flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS); results are identical at any width")
-		shards     = flag.Int("shards", 0, "simulator execution mode per trial (0 = goroutine per process, -1 = auto-sized sharded engine, k = k shard workers); results are identical in both modes")
-		jpath      = flag.String("journal", "", "journal completed trials to this write-ahead file; an interrupted sweep resumes from it (docs/RESILIENCE.md)")
-		resume     = flag.Bool("resume", false, "allow continuing from a non-empty journal; replayed trials are bitwise those of the original run")
-		listen     = flag.String("listen", "", "accept remote trial workers (cmd/worker) on this address and dispatch samples to them; results stay byte-identical (docs/DISTRIBUTED.md)")
-		addrFile   = flag.String("addr-file", "", "write the bound -listen address to this file for cmd/worker -connect-file")
-		workersMin = flag.Int("workers-remote", 1, "with -listen: minimum connected workers to wait for before starting")
-		remoteWait = flag.Duration("remote-wait", 10*time.Second, "with -listen: how long to wait for -workers-remote workers before proceeding degraded (in-process)")
-		statusAddr = flag.String("status-addr", "", "serve /metrics, /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
-		flightRec  = flag.String("flightrec", "", "dump the flight-recorder ring to this JSONL file on SIGQUIT")
+		sizes    = flag.String("sizes", "64,128,256,512", "comma-separated system sizes")
+		seeds    = flag.Int("seeds", 3, "seeds per (size, adversary) cell")
+		base     = flag.Uint64("seed", 1, "base seed")
+		jsonPath = flag.String("json", "", "write machine-readable results to this file (empty = off)")
+		s        = campaigncli.Register("sweep", false)
 	)
-	flag.Parse()
-
+	if err := s.Parse(); err != nil {
+		return err
+	}
 	ns, err := parseSizes(*sizes)
 	if err != nil {
 		return err
 	}
 
-	// SIGINT/SIGTERM cancel between trials: completed trials stay
-	// journaled, a partial message is printed, and the exit code is 130.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Strictly observational (docs/OBSERVABILITY.md): sweep outputs are
-	// byte-identical with or without the plane.
-	var poolPtr atomic.Pointer[distrib.Pool]
-	var plane *telemetry.Plane
-	plane, err = telemetry.StartPlane(telemetry.PlaneOptions{
-		Program: "sweep", Addr: *statusAddr, FlightRec: *flightRec, Log: os.Stderr,
-		Campaign: func() *telemetry.CampaignStatus { return sweepCampaignStatus(plane) },
-		Workers: func() []telemetry.WorkerStatus {
-			if p := poolPtr.Load(); p != nil {
-				return p.WorkerStatuses()
-			}
-			return nil
-		},
-		Fleet: func() []telemetry.Labeled {
-			if p := poolPtr.Load(); p != nil {
-				return p.Fleet()
-			}
-			return nil
-		},
-	})
-	if err != nil {
+	if err := s.Start(); err != nil {
 		return err
 	}
-	defer plane.Close()
-
-	ex := experiments.Exec{Workers: *workers, Shards: *shards, Ctx: ctx, Telemetry: plane.Reg}
-
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			return err
-		}
-		if *addrFile != "" {
-			if err := writeAddrFile(*addrFile, ln.Addr().String()); err != nil {
-				ln.Close()
-				return err
-			}
-		}
-		pool := distrib.NewPool(distrib.StandardExecutors(), distrib.PoolOptions{Log: os.Stderr, Telemetry: plane.Reg})
-		poolPtr.Store(pool)
-		go pool.Serve(ln)
-		defer func() {
-			s := pool.Stats()
-			fmt.Fprintf(os.Stderr, "distrib: %d dispatched (%d re-dispatched, %d quarantined, %d local), %d workers joined, %d lost\n",
-				s.Dispatched, s.Redispatched, s.Quarantined, s.LocalRuns, s.WorkersJoined, s.WorkerDeaths)
-			pool.Close()
-		}()
-		if err := pool.AwaitWorkers(ctx, *workersMin, *remoteWait); err != nil {
-			if ctx.Err() != nil {
-				return context.Canceled
-			}
-			fmt.Fprintf(os.Stderr, "distrib: %v; proceeding degraded (in-process execution until workers join)\n", err)
-		}
-		ex.RemoteThm1 = distrib.Thm1Remote(pool)
-	} else if *addrFile != "" {
-		return fmt.Errorf("-addr-file requires -listen")
-	}
-
-	if *jpath != "" {
-		j, info, err := journal.Open(*jpath, journal.Observe(plane.Reg))
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		if j.Len() > 0 && !*resume {
-			return fmt.Errorf("journal %s already holds %d trials; pass -resume to continue that campaign or point -journal at a fresh file", *jpath, j.Len())
-		}
-		if info.DroppedBytes > 0 {
-			fmt.Fprintf(os.Stderr, "journal: recovered %s: dropped %d torn tail bytes (%s); lost trials will re-run\n", *jpath, info.DroppedBytes, info.TailError)
-		}
-		if j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "journal: resuming with %d journaled trials\n", j.Len())
-		}
-		ex.Journal = j
-	}
-
-	cells, err := experiments.Thm1Detailed(ns, *seeds, *base, ex)
+	defer s.Close()
+	cells, err := experiments.Thm1Detailed(ns, *seeds, *base, experiments.Exec{
+		Workers: s.Workers, Shards: s.Shards,
+		Ctx: s.Ctx, Journal: s.Journal, RemoteThm1: s.Thm1Remote(), Telemetry: s.Telemetry,
+	})
 	if err != nil {
-		if errors.Is(err, context.Canceled) && *jpath != "" {
-			fmt.Fprintln(os.Stderr, "sweep: interrupted; journaled progress kept, re-run with -resume to continue")
-		}
+		s.Interrupted(err, "") // on SIGINT, say what was kept and how to continue
 		return err
 	}
 	points := experiments.Worst(cells)
@@ -235,49 +145,16 @@ func run() error {
 				CommBits: benchFit{Exponent: bfit.Exponent, R2: bfit.R2},
 			}
 		}
-		f, err := os.Create(*jsonPath)
+		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			return err
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := campaign.WriteFileAtomic(*jsonPath, append(data, '\n')); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %s (%s)\n", *jsonPath, benchSchema)
 	}
 	return nil
-}
-
-// sweepCampaignStatus derives the /statusz campaign block from the sweep
-// metric catalog (docs/OBSERVABILITY.md).
-func sweepCampaignStatus(p *telemetry.Plane) *telemetry.CampaignStatus {
-	if p == nil {
-		return nil
-	}
-	snap := p.Reg.Snapshot()
-	c := &telemetry.CampaignStatus{
-		Kind:        "sweep-thm1",
-		TrialsTotal: int64(snap.Value("omicon_sweep_samples_target")),
-		TrialsDone:  int64(snap.Value("omicon_sweep_samples_total")),
-		Resumed:     int64(snap.Value("omicon_sweep_resumed_total")),
-	}
-	c.FillRate(p.Elapsed())
-	return c
-}
-
-// writeAddrFile publishes the bound listener address via rename, so a
-// worker re-reading the file never observes a partial write.
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -39,25 +39,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
-	"sync/atomic"
-	"syscall"
-	"time"
 
-	"omicon/internal/distrib"
-	"omicon/internal/journal"
-	"omicon/internal/telemetry"
+	"omicon/internal/campaigncli"
 	"omicon/internal/torture"
-	"omicon/internal/trace"
 )
 
 func main() {
@@ -81,23 +70,12 @@ func run() (int, error) {
 		inject      = flag.String("inject", "", "deliberate sabotage self-test: overbudget | honest-drop")
 		replay      = flag.String("replay", "", "re-execute one corpus entry instead of running a campaign")
 		quiet       = flag.Bool("q", false, "suppress per-violation log lines")
-		traceFile   = flag.String("trace", "", "write every trial's JSONL event trace to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile after the campaign to this file")
-		workers     = flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS, 1 = serial); reports and corpora are identical at any width")
-		shards      = flag.Int("shards", 0, "simulator execution mode for every trial (0 = goroutine per process, -1 = sharded with GOMAXPROCS workers, k = sharded with k workers); artifacts are identical in both modes")
-		jpath       = flag.String("journal", "", "journal completed trials to this write-ahead file; a killed campaign resumes from it (docs/RESILIENCE.md)")
-		resume      = flag.Bool("resume", false, "allow continuing from a non-empty journal; replayed trials reproduce the original report, log and corpus bytes")
-		listen      = flag.String("listen", "", "accept remote trial workers (cmd/worker) on this address and dispatch trials to them; artifacts stay byte-identical (docs/DISTRIBUTED.md)")
-		addrFile    = flag.String("addr-file", "", "write the bound -listen address to this file for cmd/worker -connect-file")
-		workersMin  = flag.Int("workers-remote", 1, "with -listen: minimum connected workers to wait for before starting")
-		remoteWait  = flag.Duration("remote-wait", 10*time.Second, "with -listen: how long to wait for -workers-remote workers before proceeding degraded (in-process)")
-		statusAddr  = flag.String("status-addr", "", "serve /metrics, /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
-		flightRec   = flag.String("flightrec", "", "dump the flight-recorder ring to this JSONL file on SIGQUIT")
+		s           = campaigncli.Register("torture", true)
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		return 2, fmt.Errorf("unexpected arguments %v", flag.Args())
+	if err := s.Parse(); err != nil {
+		return 2, err
 	}
 
 	if *cpuProfile != "" {
@@ -127,138 +105,41 @@ func run() (int, error) {
 	}
 
 	if *replay != "" {
-		return replayEntry(*replay, *shards)
+		return replayEntry(*replay, s.Shards)
 	}
 
+	if err := s.Start(); err != nil {
+		return campaigncli.ExitCode(err, 2), err
+	}
+	defer s.Close()
 	opts := torture.Options{
 		Trials:           *trials,
 		Seed:             *seed,
-		Protocols:        splitNames(*protocols),
-		Adversaries:      splitNames(*adversaries),
+		Protocols:        campaigncli.SplitNames(*protocols),
+		Adversaries:      campaigncli.SplitNames(*adversaries),
 		CorpusDir:        *corpus,
 		Shrink:           *shrink,
 		ShrinkMaxRuns:    *shrinkRuns,
 		DeterminismEvery: *determinism,
 		Inject:           *inject,
-		Workers:          *workers,
-		Shards:           *shards,
+		Workers:          s.Workers,
+		Shards:           s.Shards,
+		Ctx:              s.Ctx,
+		Journal:          s.Journal,
+		Remote:           s.TortureRemote(),
+		Trace:            s.Trace,
+		Telemetry:        s.Telemetry,
 	}
 	if !*quiet {
 		opts.Log = os.Stderr
 	}
-
-	// The telemetry plane is strictly observational: campaign artifacts
-	// are byte-identical with or without it. The pool pointer is atomic
-	// because /statusz closures run on server goroutines before and after
-	// the pool exists.
-	var poolPtr atomic.Pointer[distrib.Pool]
-	var plane *telemetry.Plane
-	plane, err := telemetry.StartPlane(telemetry.PlaneOptions{
-		Program: "torture", Addr: *statusAddr, FlightRec: *flightRec, Log: os.Stderr,
-		Campaign: func() *telemetry.CampaignStatus { return tortureCampaignStatus(plane) },
-		Workers: func() []telemetry.WorkerStatus {
-			if p := poolPtr.Load(); p != nil {
-				return p.WorkerStatuses()
-			}
-			return nil
-		},
-		Fleet: func() []telemetry.Labeled {
-			if p := poolPtr.Load(); p != nil {
-				return p.Fleet()
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return 2, err
-	}
-	defer plane.Close()
-	opts.Telemetry = plane.Reg
-
-	// SIGINT/SIGTERM cancel between trials: the journal and corpus are
-	// flushed, the partial summary prints, and the process exits 130.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts.Ctx = ctx
-
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			return 2, err
-		}
-		if *addrFile != "" {
-			if err := writeAddrFile(*addrFile, ln.Addr().String()); err != nil {
-				ln.Close()
-				return 2, err
-			}
-		}
-		pool := distrib.NewPool(distrib.StandardExecutors(), distrib.PoolOptions{Log: os.Stderr, Telemetry: plane.Reg})
-		poolPtr.Store(pool)
-		go pool.Serve(ln)
-		defer func() {
-			s := pool.Stats()
-			fmt.Fprintf(os.Stderr, "distrib: %d dispatched (%d re-dispatched, %d quarantined, %d local), %d workers joined, %d lost\n",
-				s.Dispatched, s.Redispatched, s.Quarantined, s.LocalRuns, s.WorkersJoined, s.WorkerDeaths)
-			pool.Close()
-		}()
-		if err := pool.AwaitWorkers(ctx, *workersMin, *remoteWait); err != nil {
-			if ctx.Err() != nil {
-				return 130, nil
-			}
-			fmt.Fprintf(os.Stderr, "distrib: %v; proceeding degraded (in-process execution until workers join)\n", err)
-		}
-		opts.Remote = distrib.TortureRemote(pool)
-	} else if *addrFile != "" {
-		return 2, fmt.Errorf("-addr-file requires -listen")
-	}
-
-	if *jpath != "" {
-		j, info, err := journal.Open(*jpath, journal.Observe(plane.Reg))
-		if err != nil {
-			return 2, err
-		}
-		defer j.Close()
-		if j.Len() > 0 && !*resume {
-			return 2, fmt.Errorf("journal %s already holds %d records; pass -resume to continue that campaign or point -journal at a fresh file", *jpath, j.Len())
-		}
-		if info.DroppedBytes > 0 {
-			fmt.Fprintf(os.Stderr, "journal: recovered %s: dropped %d torn tail bytes (%s); lost trials will re-run\n", *jpath, info.DroppedBytes, info.TailError)
-		}
-		if j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "journal: resuming with %d journaled records\n", j.Len())
-		}
-		opts.Journal = j
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return 2, err
-		}
-		sink := trace.NewJSONL(f)
-		defer func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "torture: trace:", err)
-			}
-		}()
-		// Tee trial events into the flight recorder so a SIGQUIT dump
-		// interleaves recent trace events with telemetry deltas.
-		opts.Trace = trace.New(trace.MultiSink(sink, plane.Rec))
-	}
 	rep, err := torture.Run(opts)
 	if err != nil {
-		if rep != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		if rep != nil && s.Interrupted(err, " after %d trials", rep.Trials) {
 			fmt.Print(rep.Summary())
-			hint := ""
-			if *jpath != "" {
-				hint = "; journaled progress kept, re-run with -resume to continue"
-			}
-			fmt.Fprintf(os.Stderr, "torture: interrupted after %d trials%s\n", rep.Trials, hint)
-			return 130, nil
+			return campaigncli.ExitInterrupted, nil
 		}
 		return 2, err
-	}
-	if rep.Resumed > 0 {
-		fmt.Fprintf(os.Stderr, "journal: replayed %d journaled trials, ran %d live\n", rep.Resumed, rep.Trials-rep.Resumed)
 	}
 	fmt.Print(rep.Summary())
 	if rep.Violations > 0 {
@@ -292,47 +173,4 @@ func replayEntry(path string, shards int) (int, error) {
 		fmt.Println("replay: OK — violation reproduced, transcript byte-identical")
 		return 0, nil
 	}
-}
-
-// tortureCampaignStatus derives the /statusz campaign block from the
-// torture metric catalog (docs/OBSERVABILITY.md).
-func tortureCampaignStatus(p *telemetry.Plane) *telemetry.CampaignStatus {
-	if p == nil {
-		return nil
-	}
-	snap := p.Reg.Snapshot()
-	c := &telemetry.CampaignStatus{
-		Kind:         "torture",
-		TrialsTotal:  int64(snap.Value("omicon_torture_trials_target")),
-		TrialsDone:   int64(snap.Value("omicon_torture_trials_total")),
-		Violations:   int64(snap.Value("omicon_torture_violations_total")),
-		FailedTrials: int64(snap.Value("omicon_torture_failed_trials_total")),
-		Quarantined:  int64(snap.Value("omicon_torture_quarantined_total")),
-		Resumed:      int64(snap.Value("omicon_torture_resumed_total")),
-	}
-	c.FillRate(p.Elapsed())
-	return c
-}
-
-// writeAddrFile publishes the bound listener address via rename, so a
-// worker re-reading the file never observes a partial write.
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func splitNames(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

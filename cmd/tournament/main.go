@@ -12,9 +12,9 @@
 // The matrix is deterministic: the same seed and matrix flags produce
 // byte-identical report.md and tournament.json at any -workers or
 // -shards setting, in-process or distributed (-listen), fresh or resumed
-// (-journal/-resume). Observability (-status-addr, -flightrec, -trace)
-// and distributed execution (-listen, -addr-file, -workers-remote,
-// -remote-wait) work exactly as in cmd/torture.
+// (-journal/-resume). Those flags, and the observability ones
+// (-status-addr, -flightrec, -trace), are the bundle internal/campaigncli
+// declares once for every campaign command.
 //
 // Exit status: 0 when no protocol that promises correctness lost a cell
 // (losses of known-broken separation exhibits are expected and do not
@@ -23,24 +23,15 @@
 package main
 
 import (
-	"context"
-	"errors"
+	"bytes"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"strings"
-	"sync/atomic"
-	"syscall"
-	"time"
 
-	"omicon/internal/distrib"
-	"omicon/internal/journal"
-	"omicon/internal/telemetry"
+	"omicon/internal/campaign"
+	"omicon/internal/campaigncli"
 	"omicon/internal/tournament"
-	"omicon/internal/trace"
 )
 
 func main() {
@@ -60,142 +51,48 @@ func run() (int, error) {
 		sizes       = flag.String("sizes", "", "comma-separated instance sizes overriding each protocol's defaults")
 		outDir      = flag.String("out", "tournament-out", "directory receiving report.md and tournament.json")
 		quiet       = flag.Bool("q", false, "suppress per-loss log lines")
-		traceFile   = flag.String("trace", "", "write every trial's JSONL event trace to this file")
-		workers     = flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS, 1 = serial); artifacts are identical at any width")
-		shards      = flag.Int("shards", 0, "simulator execution mode for every trial (0 = goroutine per process, -1 = sharded with GOMAXPROCS workers, k = sharded with k workers); artifacts are identical in both modes")
-		jpath       = flag.String("journal", "", "journal completed trials to this write-ahead file; a killed tournament resumes from it")
-		resume      = flag.Bool("resume", false, "allow continuing from a non-empty journal; replayed trials reproduce the original report bytes")
-		listen      = flag.String("listen", "", "accept remote trial workers (cmd/worker) on this address and dispatch trials to them (docs/DISTRIBUTED.md)")
-		addrFile    = flag.String("addr-file", "", "write the bound -listen address to this file for cmd/worker -connect-file")
-		workersMin  = flag.Int("workers-remote", 1, "with -listen: minimum connected workers to wait for before starting")
-		remoteWait  = flag.Duration("remote-wait", 10*time.Second, "with -listen: how long to wait for -workers-remote workers before proceeding degraded (in-process)")
-		statusAddr  = flag.String("status-addr", "", "serve /metrics, /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
-		flightRec   = flag.String("flightrec", "", "dump the flight-recorder ring to this JSONL file on SIGQUIT")
+		s           = campaigncli.Register("tournament", true)
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		return 2, fmt.Errorf("unexpected arguments %v", flag.Args())
+	if err := s.Parse(); err != nil {
+		return 2, err
 	}
-
-	opts := tournament.Options{
-		TrialsPerCell: *trials,
-		Seed:          *seed,
-		Protocols:     splitNames(*protocols),
-		Adversaries:   splitNames(*adversaries),
-		Workers:       *workers,
-		Shards:        *shards,
-	}
-	for _, s := range splitNames(*sizes) {
+	var ns []int
+	for _, s := range campaigncli.SplitNames(*sizes) {
 		var n int
 		if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n <= 0 {
 			return 2, fmt.Errorf("bad -sizes entry %q", s)
 		}
-		opts.Sizes = append(opts.Sizes, n)
+		ns = append(ns, n)
+	}
+
+	if err := s.Start(); err != nil {
+		return campaigncli.ExitCode(err, 2), err
+	}
+	defer s.Close()
+	opts := tournament.Options{
+		TrialsPerCell: *trials,
+		Seed:          *seed,
+		Protocols:     campaigncli.SplitNames(*protocols),
+		Adversaries:   campaigncli.SplitNames(*adversaries),
+		Sizes:         ns,
+		Workers:       s.Workers,
+		Shards:        s.Shards,
+		Ctx:           s.Ctx,
+		Journal:       s.Journal,
+		Remote:        s.TortureRemote(),
+		Trace:         s.Trace,
+		Telemetry:     s.Telemetry,
 	}
 	if !*quiet {
 		opts.Log = os.Stderr
 	}
-
-	var poolPtr atomic.Pointer[distrib.Pool]
-	var plane *telemetry.Plane
-	plane, err := telemetry.StartPlane(telemetry.PlaneOptions{
-		Program: "tournament", Addr: *statusAddr, FlightRec: *flightRec, Log: os.Stderr,
-		Campaign: func() *telemetry.CampaignStatus { return campaignStatus(plane) },
-		Workers: func() []telemetry.WorkerStatus {
-			if p := poolPtr.Load(); p != nil {
-				return p.WorkerStatuses()
-			}
-			return nil
-		},
-		Fleet: func() []telemetry.Labeled {
-			if p := poolPtr.Load(); p != nil {
-				return p.Fleet()
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return 2, err
-	}
-	defer plane.Close()
-	opts.Telemetry = plane.Reg
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts.Ctx = ctx
-
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			return 2, err
-		}
-		if *addrFile != "" {
-			if err := writeAddrFile(*addrFile, ln.Addr().String()); err != nil {
-				ln.Close()
-				return 2, err
-			}
-		}
-		pool := distrib.NewPool(distrib.StandardExecutors(), distrib.PoolOptions{Log: os.Stderr, Telemetry: plane.Reg})
-		poolPtr.Store(pool)
-		go pool.Serve(ln)
-		defer pool.Close()
-		if err := pool.AwaitWorkers(ctx, *workersMin, *remoteWait); err != nil {
-			if ctx.Err() != nil {
-				return 130, nil
-			}
-			fmt.Fprintf(os.Stderr, "distrib: %v; proceeding degraded (in-process execution until workers join)\n", err)
-		}
-		opts.Remote = distrib.TortureRemote(pool)
-	} else if *addrFile != "" {
-		return 2, fmt.Errorf("-addr-file requires -listen")
-	}
-
-	if *jpath != "" {
-		j, info, err := journal.Open(*jpath, journal.Observe(plane.Reg))
-		if err != nil {
-			return 2, err
-		}
-		defer j.Close()
-		if j.Len() > 0 && !*resume {
-			return 2, fmt.Errorf("journal %s already holds %d records; pass -resume to continue that tournament or point -journal at a fresh file", *jpath, j.Len())
-		}
-		if info.DroppedBytes > 0 {
-			fmt.Fprintf(os.Stderr, "journal: recovered %s: dropped %d torn tail bytes (%s); lost trials will re-run\n", *jpath, info.DroppedBytes, info.TailError)
-		}
-		if j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "journal: resuming with %d journaled records\n", j.Len())
-		}
-		opts.Journal = j
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return 2, err
-		}
-		sink := trace.NewJSONL(f)
-		defer func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tournament: trace:", err)
-			}
-		}()
-		opts.Trace = trace.New(trace.MultiSink(sink, plane.Rec))
-	}
-
 	rep, err := tournament.Run(opts)
 	if err != nil {
-		if rep != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		if rep != nil && s.Interrupted(err, " after %d trials", rep.Trials) {
 			fmt.Print(rep.Summary())
-			hint := ""
-			if *jpath != "" {
-				hint = "; journaled progress kept, re-run with -resume to continue"
-			}
-			fmt.Fprintf(os.Stderr, "tournament: interrupted after %d trials%s\n", rep.Trials, hint)
-			return 130, nil
+			return campaigncli.ExitInterrupted, nil
 		}
 		return 2, err
-	}
-	if rep.Resumed > 0 {
-		fmt.Fprintf(os.Stderr, "journal: replayed %d journaled trials, ran %d live\n", rep.Resumed, rep.Trials-rep.Resumed)
 	}
 	if err := writeReport(*outDir, rep); err != nil {
 		return 2, err
@@ -207,71 +104,23 @@ func run() (int, error) {
 	return 0, nil
 }
 
-// writeReport writes report.md and tournament.json under dir, each via a
-// temp-file rename so a crash never leaves a torn artifact.
+// writeReport writes report.md and tournament.json under dir, each
+// atomically so a crash never leaves a torn artifact.
 func writeReport(dir string, rep *tournament.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "report.md"), []byte(rep.Markdown())); err != nil {
+	if err := campaign.WriteFileAtomic(filepath.Join(dir, "report.md"), []byte(rep.Markdown())); err != nil {
 		return err
 	}
-	var b strings.Builder
+	var b bytes.Buffer
 	if err := rep.WriteJSON(&b); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "tournament.json"), []byte(b.String())); err != nil {
+	if err := campaign.WriteFileAtomic(filepath.Join(dir, "tournament.json"), b.Bytes()); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "tournament: wrote %s and %s\n",
 		filepath.Join(dir, "report.md"), filepath.Join(dir, "tournament.json"))
 	return nil
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// campaignStatus derives the /statusz campaign block from the tournament
-// metric catalog.
-func campaignStatus(p *telemetry.Plane) *telemetry.CampaignStatus {
-	if p == nil {
-		return nil
-	}
-	snap := p.Reg.Snapshot()
-	c := &telemetry.CampaignStatus{
-		Kind:         "tournament",
-		TrialsTotal:  int64(snap.Value("omicon_tournament_trials_target")),
-		TrialsDone:   int64(snap.Value("omicon_tournament_trials_total")),
-		Violations:   int64(snap.Value("omicon_tournament_losses_total")),
-		FailedTrials: int64(snap.Value("omicon_tournament_unexpected_losses_total")),
-		Resumed:      int64(snap.Value("omicon_tournament_resumed_total")),
-	}
-	c.FillRate(p.Elapsed())
-	return c
-}
-
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func splitNames(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

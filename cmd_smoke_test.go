@@ -21,6 +21,7 @@ func TestCommandSmoke(t *testing.T) {
 	benchJSON := filepath.Join(bin, "BENCH_sweep.json")
 	walFile := filepath.Join(bin, "campaign.wal")
 	tournamentWal := filepath.Join(bin, "tournament.wal")
+	sweepWal := filepath.Join(bin, "sweep.wal")
 	flightRec := filepath.Join(bin, "flightrec.jsonl")
 	promFile := filepath.Join(bin, "scrape.prom")
 	promText := "# HELP omicon_smoke_total smoke counter\n# TYPE omicon_smoke_total counter\nomicon_smoke_total 5\n"
@@ -32,28 +33,35 @@ func TestCommandSmoke(t *testing.T) {
 		name   string
 		args   []string
 		marker string
+		exit   int // expected exit status
 	}{
-		{"omicon", []string{"-n", "36", "-t", "1", "-algo", "optimal", "-adversary", "split-vote", "-record", transcript, "-trace", traceFile}, "decision"},
-		{"replay", []string{transcript}, "activity phases"},
-		{"replay", []string{"-verify", transcript}, "verify: OK"},
-		{"replay", []string{"-verify", "-shards", "4", transcript}, "verify: OK"},
-		{"tracelint", []string{traceFile}, "1 segments"},
-		{"tracelint", []string{"-metrics", promFile, promFile}, "1 families, 1 samples"},
-		{"torture", []string{"-trials", "50", "-seed", "1", "-q"}, "50 trials, 0 violations"},
-		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-status-addr", "127.0.0.1:0", "-flightrec", flightRec}, "status: serving"},
-		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile}, "50 trials, 0 violations"},
-		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile, "-resume"}, "journal: replayed 50 journaled trials, ran 0 live"},
-		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal}, "losses (0 unexpected)"},
-		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal, "-resume"}, "ran 0 live"},
-		{"sweep", []string{"-sizes", "64", "-seeds", "1", "-json", benchJSON}, "wrote " + benchJSON},
-		{"tradeoff", []string{"-mode", "param", "-n", "64", "-x", "1,4", "-seeds", "1"}, "Thm 3"},
-		{"tradeoff", []string{"-mode", "lower", "-n", "32", "-t", "8", "-caps", "0,4", "-seeds", "1"}, "Thm 2"},
-		{"coingame", []string{"-k", "16", "-alpha", "0.5", "-trials", "100"}, "Lemma 12"},
-		{"graphcheck", []string{"-n", "64"}, "Theorem 4"},
-		{"epochs", []string{"-n", "36", "-t", "1", "-seeds", "2"}, "Figure 3"},
-		{"valency", []string{"-n", "3"}, "Lemma 13"},
-		{"netdemo", []string{"-role", "local", "-n", "8", "-t", "1", "-algo", "phaseking"}, "agreement   : true"},
-		{"paper", []string{"-quick"}, "All experiments completed"},
+		{"omicon", []string{"-n", "36", "-t", "1", "-algo", "optimal", "-adversary", "split-vote", "-record", transcript, "-trace", traceFile}, "decision", 0},
+		{"replay", []string{transcript}, "activity phases", 0},
+		{"replay", []string{"-verify", transcript}, "verify: OK", 0},
+		{"replay", []string{"-verify", "-shards", "4", transcript}, "verify: OK", 0},
+		{"tracelint", []string{traceFile}, "1 segments", 0},
+		{"tracelint", []string{"-metrics", promFile, promFile}, "1 families, 1 samples", 0},
+		{"torture", []string{"-trials", "50", "-seed", "1", "-q"}, "50 trials, 0 violations", 0},
+		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-status-addr", "127.0.0.1:0", "-flightrec", flightRec}, "status: serving", 0},
+		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile}, "50 trials, 0 violations", 0},
+		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile, "-resume"}, "journal: replayed 50 journaled trials, ran 0 live", 0},
+		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal}, "losses (0 unexpected)", 0},
+		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal, "-resume"}, "ran 0 live", 0},
+		// No workers ever join: the pool degrades to in-process execution
+		// and every command prints the dispatch summary on exit.
+		{"tournament", []string{"-trials", "1", "-protocols", "phaseking", "-adversaries", "late", "-q", "-workers", "4", "-out", filepath.Join(bin, "tournament-out"), "-listen", "127.0.0.1:0", "-remote-wait", "100ms"}, "distrib: 0 dispatched (0 re-dispatched, 0 quarantined, 4 local)", 0},
+		{"sweep", []string{"-sizes", "64", "-seeds", "1", "-json", benchJSON}, "wrote " + benchJSON, 0},
+		{"sweep", []string{"-sizes", "64", "-seeds", "1", "-journal", sweepWal}, "worst adversary", 0},
+		{"sweep", []string{"-sizes", "64", "-seeds", "1", "-journal", sweepWal, "-resume"}, "ran 0 live", 0},
+		{"sweep", []string{"64", "128"}, "unexpected arguments [64 128]", 1},
+		{"tradeoff", []string{"-mode", "param", "-n", "64", "-x", "1,4", "-seeds", "1"}, "Thm 3", 0},
+		{"tradeoff", []string{"-mode", "lower", "-n", "32", "-t", "8", "-caps", "0,4", "-seeds", "1"}, "Thm 2", 0},
+		{"coingame", []string{"-k", "16", "-alpha", "0.5", "-trials", "100"}, "Lemma 12", 0},
+		{"graphcheck", []string{"-n", "64"}, "Theorem 4", 0},
+		{"epochs", []string{"-n", "36", "-t", "1", "-seeds", "2"}, "Figure 3", 0},
+		{"valency", []string{"-n", "3"}, "Lemma 13", 0},
+		{"netdemo", []string{"-role", "local", "-n", "8", "-t", "1", "-algo", "phaseking"}, "agreement   : true", 0},
+		{"paper", []string{"-quick"}, "All experiments completed", 0},
 	}
 
 	built := map[string]string{}
@@ -70,8 +78,8 @@ func TestCommandSmoke(t *testing.T) {
 		}
 		cmd := exec.Command(path, c.args...)
 		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s %v: %v\n%s", c.name, c.args, err, out)
+		if got := cmd.ProcessState.ExitCode(); got != c.exit {
+			t.Fatalf("%s %v: exit status %d (%v), want %d\n%s", c.name, c.args, got, err, c.exit, out)
 		}
 		if !strings.Contains(string(out), c.marker) {
 			t.Fatalf("%s %v: output missing %q:\n%s", c.name, c.args, c.marker, out)

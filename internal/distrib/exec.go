@@ -82,46 +82,45 @@ func StandardExecutors() *Executors {
 	return e
 }
 
-// TortureRemote adapts a Pool into torture.Options.Remote: each primary
-// trial is serialized, dispatched (with re-dispatch, quarantine and
-// degradation handled by the pool), and its Outcome deserialized for the
-// campaign's serial commit path.
+// remote is the one marshal -> Execute -> unmarshal adapter behind every
+// driver hook: job is serialized, dispatched under id (with re-dispatch,
+// quarantine and degradation handled by the pool), and the result
+// deserialized into out for the campaign's serial commit path.
+func remote[J, R any](ctx context.Context, p *Pool, id, kind string, job J, out *R) (quarantined bool, err error) {
+	payload, err := json.Marshal(job)
+	if err != nil {
+		return false, fmt.Errorf("distrib: encoding %s job: %w", kind, err)
+	}
+	res, err := p.Execute(ctx, id, kind, payload)
+	if err != nil {
+		return false, err
+	}
+	if err := json.Unmarshal(res.Payload, out); err != nil {
+		return false, fmt.Errorf("distrib: decoding %s result: %w", kind, err)
+	}
+	return res.Quarantined, nil
+}
+
+// TortureRemote adapts a Pool into torture.Options.Remote (and
+// tournament.Options.Remote, which has the same shape).
 func TortureRemote(p *Pool) func(ctx context.Context, job torture.Job) (*torture.Outcome, error) {
 	return func(ctx context.Context, job torture.Job) (*torture.Outcome, error) {
-		payload, err := json.Marshal(job)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: encoding torture job: %w", err)
-		}
-		res, err := p.Execute(ctx, fmt.Sprintf("trial-%d", job.Trial), KindTortureTrial, payload)
+		out := &torture.Outcome{}
+		quarantined, err := remote(ctx, p, fmt.Sprintf("trial-%d", job.Trial), KindTortureTrial, job, out)
 		if err != nil {
 			return nil, err
 		}
-		out := &torture.Outcome{}
-		if err := json.Unmarshal(res.Payload, out); err != nil {
-			return nil, fmt.Errorf("distrib: decoding torture outcome: %w", err)
-		}
-		out.Quarantined = res.Quarantined
+		out.Quarantined = quarantined
 		return out, nil
 	}
 }
 
 // Thm1Remote adapts a Pool into experiments.Exec.RemoteThm1.
 func Thm1Remote(p *Pool) func(ctx context.Context, job experiments.Thm1Job) (experiments.SweepSample, error) {
-	return func(ctx context.Context, job experiments.Thm1Job) (experiments.SweepSample, error) {
-		payload, err := json.Marshal(job)
-		if err != nil {
-			return experiments.SweepSample{}, fmt.Errorf("distrib: encoding thm1 job: %w", err)
-		}
-		key := fmt.Sprintf("thm1-n%d-a%d-s%d", job.N, job.AdvIdx, job.SeedIdx)
-		res, err := p.Execute(ctx, key, KindThm1Sample, payload)
-		if err != nil {
-			return experiments.SweepSample{}, err
-		}
-		var s experiments.SweepSample
-		if err := json.Unmarshal(res.Payload, &s); err != nil {
-			return experiments.SweepSample{}, fmt.Errorf("distrib: decoding thm1 sample: %w", err)
-		}
-		return s, nil
+	return func(ctx context.Context, job experiments.Thm1Job) (s experiments.SweepSample, err error) {
+		id := fmt.Sprintf("thm1-n%d-a%d-s%d", job.N, job.AdvIdx, job.SeedIdx)
+		_, err = remote(ctx, p, id, KindThm1Sample, job, &s)
+		return s, err
 	}
 }
 

@@ -8,12 +8,11 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"omicon/internal/adversary"
+	"omicon/internal/campaign"
 	"omicon/internal/core"
 	"omicon/internal/journal"
 	"omicon/internal/metrics"
@@ -24,11 +23,11 @@ import (
 	"omicon/internal/telemetry"
 )
 
-// Exec bundles the cross-cutting execution knobs every sweep shares:
-// trial-level parallelism, the simulator execution mode, cancellation and
-// the durable trial journal. The zero value runs serially-auto (workers =
-// GOMAXPROCS), on the default engine, uncancellable and unjournaled —
-// exactly the old behaviour.
+// Exec bundles the cross-cutting execution knobs every sweep shares and
+// hands to the campaign kernel (internal/campaign): trial-level
+// parallelism, the simulator execution mode, cancellation and the durable
+// trial journal. The zero value runs serially-auto (workers = GOMAXPROCS),
+// on the default engine, uncancellable and unjournaled.
 type Exec struct {
 	// Workers sizes the partrial pool (<= 0 selects GOMAXPROCS). Results
 	// are byte-identical at any width.
@@ -44,7 +43,8 @@ type Exec struct {
 	// hash of its inputs and replays journaled trials on a later run
 	// instead of re-executing them — measurements are replayed bitwise,
 	// so resumed sweep outputs are byte-identical to uninterrupted ones
-	// (docs/RESILIENCE.md).
+	// (docs/RESILIENCE.md). A journaled record that no longer decodes is
+	// an error naming it (internal/campaign), never a silent re-run.
 	Journal *journal.Journal
 	// RemoteThm1, when set, executes each Theorem-1 sweep sample through
 	// it instead of calling RunThm1Job in-process — the hook the
@@ -57,26 +57,6 @@ type Exec struct {
 	// wall time. Strictly observational: sweep outputs are byte-identical
 	// with or without it.
 	Telemetry *telemetry.Registry
-}
-
-func (e Exec) context() context.Context {
-	if e.Ctx == nil {
-		return context.Background()
-	}
-	return e.Ctx
-}
-
-// lookupTrial fetches and decodes a journaled measurement into out,
-// reporting whether the trial can be skipped.
-func lookupTrial[T any](j *journal.Journal, key string, out *T) bool {
-	if j == nil {
-		return false
-	}
-	raw, ok := j.Lookup(key)
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(raw, out) == nil
 }
 
 // spreadInputs distributes `ones` ones evenly over the id space, avoiding
@@ -224,105 +204,75 @@ func RunThm1Job(job Thm1Job) (SweepSample, error) {
 // inputs and replayed bitwise on a later run; with ex.Ctx set, the sweep
 // stops between trials on cancellation, keeping journaled progress.
 func Thm1Detailed(sizes []int, seeds int, baseSeed uint64, ex Exec) ([]SweepCell, error) {
-	ctx := ex.context()
-	metSamples := ex.Telemetry.Counter("omicon_sweep_samples_total",
-		"Sweep samples committed, live or replayed.")
-	metResumed := ex.Telemetry.Counter("omicon_sweep_resumed_total",
-		"Sweep samples replayed bitwise from the trial journal.")
-	metTarget := ex.Telemetry.Gauge("omicon_sweep_samples_target",
-		"Total samples this sweep will commit across all cells.")
-	metSampleSec := ex.Telemetry.Histogram("omicon_sweep_sample_seconds",
-		"Wall time of live (non-replayed) sweep sample execution.", nil)
+	// One cell per size is one batch on the campaign kernel; the callbacks
+	// read the current cell's coordinates from these variables.
+	var (
+		n, t, trialShards int
+		names             []string
+		samples           []SweepSample
+	)
+	camp := &campaign.Campaign[SweepSample, SweepSample]{
+		Name: "experiments", Ctx: ex.Ctx, Journal: ex.Journal,
+		Progress: campaign.Progress{
+			Target: ex.Telemetry.Gauge("omicon_sweep_samples_target",
+				"Total samples this sweep will commit across all cells."),
+			Done: ex.Telemetry.Counter("omicon_sweep_samples_total",
+				"Sweep samples committed, live or replayed."),
+			Resumed: ex.Telemetry.Counter("omicon_sweep_resumed_total",
+				"Sweep samples replayed bitwise from the trial journal."),
+			Seconds: ex.Telemetry.Histogram("omicon_sweep_sample_seconds",
+				"Wall time of live (non-replayed) sweep sample execution.", nil),
+		},
+		Key: func(i int) string {
+			return journal.Key("sweep-thm1/v1", n, t, names[i/seeds], i%seeds, baseSeed, ex.Shards)
+		},
+		// Adversary-major order; RunThm1Job builds a fresh adversary
+		// instance from the indices, locally or on a remote worker.
+		Produce: func(ctx context.Context, i int) (SweepSample, error) {
+			job := Thm1Job{N: n, AdvIdx: i / seeds, SeedIdx: i % seeds, BaseSeed: baseSeed, Shards: trialShards}
+			if ex.RemoteThm1 != nil {
+				return ex.RemoteThm1(ctx, job)
+			}
+			return RunThm1Job(job)
+		},
+		Record: func(_ int, s SweepSample) (SweepSample, error) { return s, nil },
+		Fold: func(i int, s SweepSample, _ bool) error {
+			samples[i] = s
+			return nil
+		},
+	}
 	cells := make([]SweepCell, 0, len(sizes))
-	for _, n := range sizes {
-		t := (n - 1) / 31
+	for _, n = range sizes {
+		t = (n - 1) / 31
 		params, err := core.Prepare(n, t)
 		if err != nil {
 			return nil, err
 		}
 		// One probe instance only to size and name the portfolio; trial
-		// adversaries are built fresh inside each produce call.
-		advsFor := func() []sim.Adversary {
-			advs := adversary.Registry(n, t, baseSeed)
-			return append(advs, adversary.NewEclipse(params.Graph, t, n/10))
-		}
-		probe := advsFor()
-		nAdvs := len(probe)
-		names := make([]string, nAdvs)
+		// adversaries are built fresh inside each RunThm1Job call.
+		probe := append(adversary.Registry(n, t, baseSeed), adversary.NewEclipse(params.Graph, t, n/10))
+		names = make([]string, len(probe))
 		for i, a := range probe {
 			names[i] = a.Name()
 		}
-		cell := SweepCell{N: n, T: t}
-		poolWorkers, trialShards := partrial.Budget(nAdvs*seeds, ex.Workers, ex.Shards)
-		total := nAdvs * seeds
-		keys := make([]string, total)
-		if ex.Journal != nil {
-			for i := range keys {
-				keys[i] = journal.Key("sweep-thm1/v1", n, t, names[i/seeds], i%seeds, baseSeed, ex.Shards)
-			}
-		}
-		metTarget.Add(float64(total))
-		samples := make([]SweepSample, total)
-		replayed := make([]bool, total)
-		err = partrial.Do(total, poolWorkers, func(i int) (SweepSample, error) {
-			var cached SweepSample
-			if ex.Journal != nil && lookupTrial(ex.Journal, keys[i], &cached) {
-				replayed[i] = true
-				return cached, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return SweepSample{}, err
-			}
-			// Adversary-major order; RunThm1Job builds a fresh adversary
-			// instance from the indices, locally or on a remote worker.
-			job := Thm1Job{N: n, AdvIdx: i / seeds, SeedIdx: i % seeds, BaseSeed: baseSeed, Shards: trialShards}
-			start := time.Now()
-			var (
-				s    SweepSample
-				jerr error
-			)
-			if ex.RemoteThm1 != nil {
-				s, jerr = ex.RemoteThm1(ctx, job)
-			} else {
-				s, jerr = RunThm1Job(job)
-			}
-			if jerr == nil {
-				metSampleSec.Observe(time.Since(start).Seconds())
-			}
-			return s, jerr
-		}, func(i int, s SweepSample) error {
-			samples[i] = s
-			metSamples.Inc()
-			if replayed[i] {
-				metResumed.Inc()
-			}
-			if ex.Journal != nil && !replayed[i] {
-				return ex.Journal.Append(keys[i], s)
-			}
-			return nil
-		})
-		if err != nil {
-			if ex.Journal != nil {
-				ex.Journal.Sync()
-			}
+		total := len(probe) * seeds
+		camp.Workers, trialShards = partrial.Budget(total, ex.Workers, ex.Shards)
+		samples = make([]SweepSample, total)
+		camp.Expect(total)
+		if err := camp.Run(total); err != nil {
 			return nil, err
 		}
-		cell.Samples = samples
-		rs := make([]int64, len(cell.Samples))
-		cs := make([]int64, len(cell.Samples))
-		bs := make([]int64, len(cell.Samples))
-		for i, s := range cell.Samples {
+		cell := SweepCell{N: n, T: t, Samples: samples}
+		rs := make([]int64, total)
+		cs := make([]int64, total)
+		bs := make([]int64, total)
+		for i, s := range samples {
 			rs[i], cs[i], bs[i] = s.Rounds, s.CommBits, s.RandBits
 		}
 		cell.Rounds, cell.CommBits, cell.RandBits = QuantilesOf(rs), QuantilesOf(cs), QuantilesOf(bs)
 		cells = append(cells, cell)
 	}
-	if ex.Journal != nil {
-		if err := ex.Journal.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	return cells, nil
+	return cells, camp.Finish()
 }
 
 // Thm1Trial runs a single Theorem-1 execution — OptimalOmissionsConsensus
@@ -423,38 +373,20 @@ type Thm3Point struct {
 // bitwise independent of the worker count. ex supplies the execution
 // knobs; journaled seed measurements are replayed bitwise on resume.
 func Thm3Sweep(n, t int, xs []int, seeds int, baseSeed uint64, allowLargeT bool, ex Exec) ([]Thm3Point, error) {
-	ctx := ex.context()
-	var points []Thm3Point
+	// One x is one batch on the campaign kernel; the callbacks read the
+	// current point and its prepared parameters from these variables.
+	var (
+		x      int
+		pt     Thm3Point
+		params paramomissions.Params
+	)
 	poolWorkers, trialShards := partrial.Budget(seeds, ex.Workers, ex.Shards)
-	for _, x := range xs {
-		if n/x < 4 {
-			continue
-		}
-		var opts []paramomissions.Option
-		if allowLargeT {
-			opts = append(opts, paramomissions.AllowLargeT())
-		}
-		params, err := paramomissions.Prepare(n, t, x, opts...)
-		if err != nil {
-			return nil, err
-		}
-		pt := Thm3Point{X: x}
-		keys := make([]string, seeds)
-		if ex.Journal != nil {
-			for s := range keys {
-				keys[s] = journal.Key("sweep-thm3/v1", n, t, x, s, baseSeed, allowLargeT, ex.Shards)
-			}
-		}
-		replayed := make([]bool, seeds)
-		err = partrial.Do(seeds, poolWorkers, func(s int) (metrics.Snapshot, error) {
-			var cached metrics.Snapshot
-			if ex.Journal != nil && lookupTrial(ex.Journal, keys[s], &cached) {
-				replayed[s] = true
-				return cached, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return metrics.Snapshot{}, err
-			}
+	camp := &campaign.Campaign[metrics.Snapshot, metrics.Snapshot]{
+		Name: "experiments", Ctx: ex.Ctx, Workers: poolWorkers, Journal: ex.Journal,
+		Key: func(s int) string {
+			return journal.Key("sweep-thm3/v1", n, t, x, s, baseSeed, allowLargeT, ex.Shards)
+		},
+		Produce: func(_ context.Context, s int) (metrics.Snapshot, error) {
 			res, err := sim.Run(sim.Config{
 				N: n, T: t,
 				Inputs:    spreadInputs(n, n/2),
@@ -472,19 +404,30 @@ func Thm3Sweep(n, t int, xs []int, seeds int, baseSeed uint64, allowLargeT bool,
 			snap := res.Metrics
 			snap.Rounds = int64(res.RoundsNonFaulty())
 			return snap, nil
-		}, func(s int, snap metrics.Snapshot) error {
+		},
+		Record: func(_ int, snap metrics.Snapshot) (metrics.Snapshot, error) { return snap, nil },
+		Fold: func(_ int, snap metrics.Snapshot, _ bool) error {
 			pt.Rounds += float64(snap.Rounds)
 			pt.RandBits += float64(snap.RandomBits)
 			pt.CommBits += float64(snap.CommBits)
-			if ex.Journal != nil && !replayed[s] {
-				return ex.Journal.Append(keys[s], snap)
-			}
 			return nil
-		})
-		if err != nil {
-			if ex.Journal != nil {
-				ex.Journal.Sync()
-			}
+		},
+	}
+	var points []Thm3Point
+	for _, x = range xs {
+		if n/x < 4 {
+			continue
+		}
+		var opts []paramomissions.Option
+		if allowLargeT {
+			opts = append(opts, paramomissions.AllowLargeT())
+		}
+		var err error
+		if params, err = paramomissions.Prepare(n, t, x, opts...); err != nil {
+			return nil, err
+		}
+		pt = Thm3Point{X: x}
+		if err := camp.Run(seeds); err != nil {
 			return nil, err
 		}
 		k := float64(seeds)
@@ -493,12 +436,7 @@ func Thm3Sweep(n, t int, xs []int, seeds int, baseSeed uint64, allowLargeT bool,
 		pt.CommBits /= k
 		points = append(points, pt)
 	}
-	if ex.Journal != nil {
-		if err := ex.Journal.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
+	return points, camp.Finish()
 }
 
 // EpochPoint is one cell of the Figure-3 dynamics experiment: the epoch

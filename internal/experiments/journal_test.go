@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"omicon/internal/journal"
@@ -63,6 +64,19 @@ func TestThm1DetailedJournalResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(clean, resumed) {
 		t.Fatal("resumed run diverged from unjournaled run")
+	}
+
+	// A record that no longer decodes is an error naming it, not a miss
+	// that silently re-runs the sample and journals a second record.
+	bad := journal.Key("sweep-thm1/v1", 64, 2, "none", 0, base, 0)
+	if !j2.Has(bad) {
+		t.Fatalf("fixture drifted: no journaled sample under %s", bad)
+	}
+	if err := j2.Append(bad, map[string]string{"rounds": "many"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Thm1Detailed(sizes, seeds, base, Exec{Journal: j2}); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("undecodable record: error = %v, want one naming %s", err, bad)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"omicon/internal/campaign"
 	"omicon/internal/sim"
 )
 
@@ -62,43 +63,10 @@ func (e *Entry) Write(dir string) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, e.FileName())
-	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+	if err := campaign.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return "", err
 	}
 	return path, nil
-}
-
-// writeFileAtomic writes data via temp file + fsync + rename, so a
-// process killed mid-write can never leave a torn file at path — a
-// half-written corpus entry would otherwise poison -resume and replay.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
 
 // LoadEntry reads a corpus entry back.

@@ -3,7 +3,6 @@ package torture
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 
 	"omicon/internal/journal"
 	"omicon/internal/metrics"
@@ -45,17 +44,18 @@ type trialRecord struct {
 // the cell, the instance size, the derived seed, the input pattern, the
 // execution mode and any sabotage injection. A journal record is replayed
 // exactly when the identical trial would otherwise be re-run.
-func trialKey(o Options, sp trialSpec) string {
+func trialKey(o Options, sp *trialSpec) string {
 	return journal.Key("torture/v1", sp.c.proto.Name, sp.c.adv.Name,
 		sp.n, sp.t, sp.seed, sp.lap%4, o.Shards, o.Inject)
 }
 
-// campaignConfig is the journal's leading configuration record: the
-// option subset that changes trial outcomes. A resume under different
-// options would replay records into a campaign they do not belong to, so
-// Run refuses it. Trials and Workers are deliberately absent — extending
-// a journaled campaign to more trials resumes the common prefix, and the
-// worker count never changes observables.
+// campaignConfig is the journal's leading configuration record
+// (campaign.Guard): the option subset that changes trial outcomes. A resume
+// under different options would replay records into a campaign they do not
+// belong to, so Run refuses it. Trials and Workers are deliberately absent
+// — extending a journaled campaign to more trials resumes the common
+// prefix, and the worker count never changes observables. Guard compares
+// the rendered record byte-for-byte, so field order is format.
 type campaignConfig struct {
 	V                int              `json:"v"`
 	Seed             uint64           `json:"seed"`
@@ -71,47 +71,9 @@ type campaignConfig struct {
 
 const campaignConfigKey = "torture-campaign/v1"
 
-// checkCampaignConfig verifies (or establishes) the journal's config
-// record, so resumed records are only ever replayed into the identical
-// campaign.
-func checkCampaignConfig(o Options) error {
-	cfg := campaignConfig{
-		V: trialRecordVersion, Seed: o.Seed,
-		Protocols: o.Protocols, Adversaries: o.Adversaries,
-		Shrink: o.Shrink, ShrinkMaxRuns: o.ShrinkMaxRuns,
-		DeterminismEvery: o.DeterminismEvery, Envelope: o.Envelope,
-		Inject: o.Inject, Shards: o.Shards,
-	}
-	want, err := json.Marshal(cfg)
-	if err != nil {
-		return err
-	}
-	if have, ok := o.Journal.Lookup(campaignConfigKey); ok {
-		if !bytes.Equal(have, want) {
-			return fmt.Errorf("torture: journal belongs to a different campaign (journaled config %s, current %s); use matching flags or a fresh journal", have, want)
-		}
-		return nil
-	}
-	if err := o.Journal.Append(campaignConfigKey, cfg); err != nil {
-		return err
-	}
-	return o.Journal.Sync()
-}
-
-// decodeTrialRecord parses a journaled trial payload.
-func decodeTrialRecord(raw json.RawMessage) (*trialRecord, error) {
-	var rec trialRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("torture: journal record: %w", err)
-	}
-	if rec.V > trialRecordVersion {
-		return nil, fmt.Errorf("torture: journal record version %d, this build understands <= %d", rec.V, trialRecordVersion)
-	}
-	return &rec, nil
-}
-
-// traceJSONL renders events exactly as trace.WriteFile persists them, so
-// the journaled copy of a ring dump is byte-identical to the live file.
+// traceJSONL renders a ring dump in the trace JSONL format (one event per
+// line, as trace.ReadFile and cmd/tracelint expect). The bytes are both
+// journaled and written next to the corpus entry, live and on resume.
 func traceJSONL(events []trace.Event) []byte {
 	var buf bytes.Buffer
 	for _, e := range events {

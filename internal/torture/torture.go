@@ -3,16 +3,14 @@ package torture
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"time"
 
+	"omicon/internal/campaign"
 	"omicon/internal/journal"
 	"omicon/internal/metrics"
-	"omicon/internal/partrial"
 	"omicon/internal/sim"
 	"omicon/internal/telemetry"
 	"omicon/internal/trace"
@@ -118,31 +116,32 @@ type Options struct {
 }
 
 // runMetrics holds the campaign's telemetry handles; all fields are nil
-// (no-op) when Options.Telemetry is nil.
+// (no-op) when Options.Telemetry is nil. The kernel moves the progress
+// series, Run's fold the outcome counters.
 type runMetrics struct {
-	trials      *telemetry.Counter
+	progress    campaign.Progress
 	violations  *telemetry.Counter
 	failed      *telemetry.Counter
 	mcMisses    *telemetry.Counter
 	quarantined *telemetry.Counter
-	resumed     *telemetry.Counter
 	detChecks   *telemetry.Counter
 	shrinkRuns  *telemetry.Counter
-	trialSec    *telemetry.Histogram
 }
 
-func newRunMetrics(reg *telemetry.Registry, target int) runMetrics {
-	reg.Gauge("omicon_torture_trials_target", "total trials this campaign will run").Set(float64(target))
+func newRunMetrics(reg *telemetry.Registry) runMetrics {
 	return runMetrics{
-		trials:      reg.Counter("omicon_torture_trials_total", "trials committed (live and replayed)"),
+		progress: campaign.Progress{
+			Target:  reg.Gauge("omicon_torture_trials_target", "total trials this campaign will run"),
+			Done:    reg.Counter("omicon_torture_trials_total", "trials committed (live and replayed)"),
+			Resumed: reg.Counter("omicon_torture_resumed_total", "trials replayed from the journal instead of executed"),
+			Seconds: reg.Histogram("omicon_torture_trial_seconds", "per-trial wall time (live executions only)", nil),
+		},
 		violations:  reg.Counter("omicon_torture_violations_total", "oracle violations across all trials"),
 		failed:      reg.Counter("omicon_torture_failed_trials_total", "trials with at least one violation"),
 		mcMisses:    reg.Counter("omicon_torture_mc_misses_total", "monte-carlo misses (expected, bounded by the envelope)"),
 		quarantined: reg.Counter("omicon_torture_quarantined_total", "trials quarantined by the distributed dispatcher"),
-		resumed:     reg.Counter("omicon_torture_resumed_total", "trials replayed from the journal instead of executed"),
 		detChecks:   reg.Counter("omicon_torture_determinism_checks_total", "determinism re-runs performed"),
 		shrinkRuns:  reg.Counter("omicon_torture_shrink_runs_total", "shrinker replays spent across all failures"),
-		trialSec:    reg.Histogram("omicon_torture_trial_seconds", "per-trial wall time (live executions only)", nil),
 	}
 }
 
@@ -366,29 +365,20 @@ func runOnce(spec ProtoSpec, proto sim.Protocol, bound int, adv sim.Adversary, n
 // dispatched to the pool: the trial index alone (plus the schedule bases
 // captured at the previous lap boundary) determines the execution.
 type trialSpec struct {
-	i, lap  int
-	c       cell
-	n, t    int
-	seed    uint64
-	inputs  []int
-	key     string
-	base    sim.Schedule
-	makeAdv func() (sim.Adversary, error)
-	// jkey is the trial's journal key; rec is its already-journaled
-	// record, attached at spec-build time (serially) when resuming —
-	// produce then skips the execution entirely.
-	jkey string
-	rec  *trialRecord
+	i, lap int
+	c      cell
+	n, t   int
+	seed   uint64
+	inputs []int
+	key    string
+	base   sim.Schedule
 }
 
-// trialOut is one primary execution's complete outcome, handed from a pool
-// worker to the serial commit phase.
-type trialOut struct {
-	out *Outcome     // live execution (local or remote)
-	rec *trialRecord // journaled outcome; set instead of out on resume
-}
-
-// Run executes the torture campaign.
+// Run executes the torture campaign on the campaign kernel
+// (internal/campaign), which owns the resume-and-commit policy: journaled
+// trials are replayed instead of executed, live and replayed records fold
+// through the one path below in trial order, and a trial's journal record
+// is appended only after its corpus artifacts are on disk.
 func Run(o Options) (*Report, error) {
 	if o.Trials <= 0 {
 		o.Trials = 100
@@ -400,21 +390,12 @@ func Run(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := o.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if o.Journal != nil {
-		if err := checkCampaignConfig(o); err != nil {
-			return nil, err
-		}
-	}
 	logf := func(format string, args ...any) {
 		if o.Log != nil {
 			fmt.Fprintf(o.Log, format+"\n", args...)
 		}
 	}
-	met := newRunMetrics(o.Telemetry, o.Trials)
+	met := newRunMetrics(o.Telemetry)
 
 	report := &Report{Cells: make(map[string]*CellStats)}
 	// lastSchedule feeds each cell's most recent recorded schedule to
@@ -424,62 +405,106 @@ func Run(o Options) (*Report, error) {
 	// the identical dataflow a serial loop has — and pool workers never
 	// touch the map itself.
 	lastSchedule := make(map[string]sim.Schedule)
+	// specs is the current lap; the callbacks below index into it.
+	var specs []trialSpec
 
-	// produce runs one primary trial; it only reads its spec. A trial
-	// whose outcome is already journaled skips execution entirely — the
-	// record carries everything commit needs. Live trials execute through
-	// ExecuteJob — in-process by default, through Options.Remote when a
-	// distributed dispatcher is installed; the Job is plain data, so both
-	// paths compute the identical Outcome. Determinism re-runs and shrink
-	// replays run untraced and stay on this process: they would otherwise
-	// emit duplicate segments for executions that are not campaign trials.
-	produce := func(sp trialSpec) (trialOut, error) {
-		if sp.rec != nil {
-			return trialOut{rec: sp.rec}, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return trialOut{}, err
-		}
+	// produce runs one primary trial; it only reads its spec. Trials
+	// execute through ExecuteJob — in-process by default, through
+	// Options.Remote when a distributed dispatcher is installed; the Job is
+	// plain data, so both paths compute the identical Outcome.
+	produce := func(ctx context.Context, j int) (*Outcome, error) {
+		sp := &specs[j]
 		job := Job{
 			Trial: sp.i, Protocol: sp.c.proto.Name, Adversary: sp.c.adv.Name,
 			N: sp.n, T: sp.t, Seed: sp.seed, Inputs: sp.inputs, Base: sp.base,
 			Inject: o.Inject, Envelope: o.Envelope, Shards: o.Shards,
 			Ring: o.CorpusDir != "", Capture: o.Trace.Enabled(),
 		}
-		var oc *Outcome
-		var err error
-		start := time.Now()
 		if o.Remote != nil {
-			oc, err = o.Remote(ctx, job)
-		} else {
-			oc, err = ExecuteJob(job)
+			return o.Remote(ctx, job)
 		}
-		if err != nil {
-			return trialOut{}, err
-		}
-		met.trialSec.Observe(time.Since(start).Seconds())
-		return trialOut{out: oc}, nil
+		return ExecuteJob(job)
 	}
 
-	// journalAppend checkpoints one committed trial. It runs after the
-	// trial's corpus artifacts are on disk, so a journal record always
-	// implies complete artifacts; a kill between the two re-runs the
-	// trial, whose writes are idempotent.
-	journalAppend := func(sp trialSpec, rec *trialRecord) error {
-		if o.Journal == nil {
-			return nil
+	// record turns one live outcome into the trial's durable record — the
+	// only work a replayed trial skips. Determinism re-runs and shrink
+	// replays run untraced and stay on this process: they would otherwise
+	// emit duplicate segments for executions that are not campaign trials.
+	record := func(j int, oc *Outcome) (*trialRecord, error) {
+		sp := &specs[j]
+		verdict := Verdict{Violations: oc.Violations, MonteCarloMisses: oc.MCMisses}
+		if oc.Quarantined {
+			report.Quarantined = append(report.Quarantined, sp.i)
+			met.quarantined.Inc()
 		}
-		if err := o.Journal.Append(sp.jkey, rec); err != nil {
-			return fmt.Errorf("torture: journal append: %w", err)
+		for _, e := range oc.Capture {
+			o.Trace.Emit(e)
 		}
-		return nil
+
+		// Determinism re-runs and shrink replays need the protocol, and a
+		// remote outcome arrives without one; Build is deterministic, so the
+		// rebuild yields exactly the protocol the executing worker ran. (A
+		// trial that only fails its determinism check was det-checked, so
+		// the condition need not wait for that verdict.)
+		detChecked := o.DeterminismEvery > 0 && sp.i%o.DeterminismEvery == 0
+		var proto sim.Protocol
+		if detChecked || (o.Shrink && verdict.Failed()) {
+			var err error
+			if proto, _, err = sp.c.proto.Build(sp.n, sp.t); err != nil {
+				return nil, fmt.Errorf("torture: build %s n=%d t=%d: %w", sp.c.proto.Name, sp.n, sp.t, err)
+			}
+		}
+
+		// Determinism: a fresh adversary with the same seed must yield a
+		// byte-identical transcript. Re-runs stay serial by design.
+		if detChecked {
+			adv2, err := wrapInject(sp.c.adv.Make(sp.base, sp.n, sp.t, sp.seed), o.Inject, sp.t)
+			if err != nil {
+				return nil, err
+			}
+			run2 := runOnce(sp.c.proto, proto, oc.Bound, adv2, sp.n, sp.t, sp.inputs, sp.seed, nil, o.Shards)
+			b1, b2 := transcriptBytes(oc.Transcript), transcriptBytes(run2.tr)
+			if !bytes.Equal(b1, b2) {
+				verdict.add(KindDeterminism,
+					"same seed %d produced different transcripts (%d vs %d bytes)", sp.seed, len(b1), len(b2))
+			}
+		}
+
+		rec := &trialRecord{
+			V: trialRecordVersion, Trial: sp.i,
+			Protocol: sp.c.proto.Name, Adversary: oc.AdvName,
+			N: sp.n, T: sp.t, Seed: sp.seed,
+			MCMisses: verdict.MonteCarloMisses, DetChecked: detChecked,
+			Schedule: oc.Transcript.Schedule(),
+		}
+		if !verdict.Failed() {
+			return rec, nil
+		}
+		rec.Entry = &Entry{
+			Version: EntryVersion, Protocol: sp.c.proto.Name, Adversary: oc.AdvName,
+			N: sp.n, T: sp.t, Seed: sp.seed, Inputs: sp.inputs, RoundBound: oc.Bound,
+			MonteCarlo: sp.c.proto.MonteCarlo(),
+			Violations: verdict.Violations,
+			Schedule:   rec.Schedule,
+			Transcript: oc.Transcript,
+		}
+		if o.Shrink {
+			min, runs := shrinkEntry(sp.c.proto, proto, oc.Bound, rec.Entry, verdict.Violations[0].Kind, o.ShrinkMaxRuns, o.Shards)
+			rec.Entry.MinSchedule = &min
+			rec.Entry.ShrinkRuns = runs
+		}
+		if o.CorpusDir != "" {
+			rec.Trace = traceJSONL(oc.Ring)
+		}
+		return rec, nil
 	}
 
-	// commitRecord replays a journaled trial's outcome through the same
-	// bookkeeping the live path performs: identical stats, identical log
-	// lines, identical corpus files (rewritten from the record, so a
-	// moved or damaged corpus directory heals on resume).
-	commitRecord := func(sp trialSpec, rec *trialRecord) error {
+	// fold commits one trial's record — always called in trial order, from
+	// this goroutine, for live and replayed trials alike: identical stats,
+	// identical log lines, identical corpus files (written from the record,
+	// so a moved or damaged corpus directory heals on resume).
+	fold := func(j int, rec *trialRecord, replayed bool) error {
+		sp := &specs[j]
 		stats := report.Cells[sp.key]
 		if stats == nil {
 			stats = &CellStats{}
@@ -493,11 +518,11 @@ func Run(o Options) (*Report, error) {
 		report.Trials++
 		stats.MCMisses += rec.MCMisses
 		report.MCMisses += rec.MCMisses
-		lastSchedule[sp.key] = rec.Schedule
-		report.Resumed++
-		met.trials.Inc()
-		met.resumed.Inc()
 		met.mcMisses.Add(int64(rec.MCMisses))
+		lastSchedule[sp.key] = rec.Schedule
+		if replayed {
+			report.Resumed++
+		}
 
 		entry := rec.Entry
 		if entry == nil {
@@ -524,7 +549,7 @@ func Run(o Options) (*Report, error) {
 			report.CorpusPaths = append(report.CorpusPaths, path)
 			logf("corpus: %s", path)
 			tracePath := strings.TrimSuffix(path, ".json") + ".trace.jsonl"
-			if err := writeFileAtomic(tracePath, rec.Trace); err != nil {
+			if err := campaign.WriteFileAtomic(tracePath, rec.Trace); err != nil {
 				return fmt.Errorf("torture: persisting trace artifact: %w", err)
 			}
 			report.TracePaths = append(report.TracePaths, tracePath)
@@ -533,132 +558,22 @@ func Run(o Options) (*Report, error) {
 		return nil
 	}
 
-	// commit folds one trial's outcome into the report — always called in
-	// trial order, from this goroutine.
-	commit := func(sp trialSpec, out trialOut) error {
-		if out.rec != nil {
-			return commitRecord(sp, out.rec)
-		}
-		oc := out.out
-		verdict := Verdict{Violations: oc.Violations, MonteCarloMisses: oc.MCMisses}
-		stats := report.Cells[sp.key]
-		if stats == nil {
-			stats = &CellStats{}
-			report.Cells[sp.key] = stats
-		}
-		if oc.Quarantined {
-			report.Quarantined = append(report.Quarantined, sp.i)
-			met.quarantined.Inc()
-		}
-		for _, e := range oc.Capture {
-			o.Trace.Emit(e)
-		}
-
-		// The protocol is rebuilt on demand: a remote outcome arrives
-		// without one, and Build is deterministic, so the lazy rebuild
-		// yields exactly the protocol the executing worker ran.
-		var proto sim.Protocol
-		buildProto := func() (sim.Protocol, error) {
-			if proto != nil {
-				return proto, nil
-			}
-			p, _, err := sp.c.proto.Build(sp.n, sp.t)
-			if err != nil {
-				return nil, fmt.Errorf("torture: build %s n=%d t=%d: %w", sp.c.proto.Name, sp.n, sp.t, err)
-			}
-			proto = p
-			return proto, nil
-		}
-
-		// Determinism: a fresh adversary with the same seed must yield a
-		// byte-identical transcript. Re-runs stay serial by design.
-		detChecked := o.DeterminismEvery > 0 && sp.i%o.DeterminismEvery == 0
-		if detChecked {
-			report.DeterminismChecks++
-			met.detChecks.Inc()
-			adv2, err := sp.makeAdv()
-			if err != nil {
-				return err
-			}
-			p, err := buildProto()
-			if err != nil {
-				return err
-			}
-			run2 := runOnce(sp.c.proto, p, oc.Bound, adv2, sp.n, sp.t, sp.inputs, sp.seed, nil, o.Shards)
-			b1, b2 := transcriptBytes(oc.Transcript), transcriptBytes(run2.tr)
-			if !bytes.Equal(b1, b2) {
-				verdict.add(KindDeterminism,
-					"same seed %d produced different transcripts (%d vs %d bytes)", sp.seed, len(b1), len(b2))
-			}
-		}
-
-		stats.Trials++
-		report.Trials++
-		stats.MCMisses += verdict.MonteCarloMisses
-		report.MCMisses += verdict.MonteCarloMisses
-		met.trials.Inc()
-		met.mcMisses.Add(int64(verdict.MonteCarloMisses))
-		sched := oc.Transcript.Schedule()
-		lastSchedule[sp.key] = sched
-		rec := &trialRecord{
-			V: trialRecordVersion, Trial: sp.i,
-			Protocol: sp.c.proto.Name, Adversary: oc.AdvName,
-			N: sp.n, T: sp.t, Seed: sp.seed,
-			MCMisses: verdict.MonteCarloMisses, DetChecked: detChecked,
-			Schedule: sched,
-		}
-
-		if !verdict.Failed() {
-			return journalAppend(sp, rec)
-		}
-		stats.Violations += len(verdict.Violations)
-		report.Violations += len(verdict.Violations)
-		met.failed.Inc()
-		met.violations.Add(int64(len(verdict.Violations)))
-		for _, v := range verdict.Violations {
-			logf("FAIL %s n=%d t=%d seed=%d: %s", sp.key, sp.n, sp.t, sp.seed, v)
-		}
-
-		entry := &Entry{
-			Version: EntryVersion, Protocol: sp.c.proto.Name, Adversary: oc.AdvName,
-			N: sp.n, T: sp.t, Seed: sp.seed, Inputs: sp.inputs, RoundBound: oc.Bound,
-			MonteCarlo: sp.c.proto.MonteCarlo(),
-			Violations: verdict.Violations,
-			Schedule:   sched,
-			Transcript: oc.Transcript,
-		}
-		if o.Shrink {
-			target := verdict.Violations[0].Kind
-			p, err := buildProto()
-			if err != nil {
-				return err
-			}
-			min, runs := shrinkEntry(sp.c.proto, p, oc.Bound, entry, target, o.ShrinkMaxRuns, o.Shards)
-			entry.MinSchedule = &min
-			entry.ShrinkRuns = runs
-			met.shrinkRuns.Add(int64(runs))
-			logf("shrunk %s seed=%d: %d -> %d actions in %d replays",
-				sp.key, sp.seed, entry.Schedule.NumActions(), min.NumActions(), runs)
-		}
-		report.Failures = append(report.Failures, entry)
-		rec.Entry = entry
-		if o.CorpusDir != "" {
-			path, err := entry.Write(o.CorpusDir)
-			if err != nil {
-				return fmt.Errorf("torture: persisting corpus entry: %w", err)
-			}
-			report.CorpusPaths = append(report.CorpusPaths, path)
-			logf("corpus: %s", path)
-			tracePath := strings.TrimSuffix(path, ".json") + ".trace.jsonl"
-			if err := trace.WriteFile(tracePath, oc.Ring); err != nil {
-				return fmt.Errorf("torture: persisting trace artifact: %w", err)
-			}
-			report.TracePaths = append(report.TracePaths, tracePath)
-			logf("trace: %s", tracePath)
-			rec.Trace = traceJSONL(oc.Ring)
-		}
-		return journalAppend(sp, rec)
+	camp := &campaign.Campaign[*Outcome, *trialRecord]{
+		Name: "torture", Ctx: o.Ctx, Workers: o.Workers,
+		Journal: o.Journal, Version: trialRecordVersion, Progress: met.progress,
+		Key:     func(j int) string { return trialKey(o, &specs[j]) },
+		Produce: produce, Record: record, Fold: fold,
 	}
+	if err := camp.Guard(campaignConfigKey, campaignConfig{
+		V: trialRecordVersion, Seed: o.Seed,
+		Protocols: o.Protocols, Adversaries: o.Adversaries,
+		Shrink: o.Shrink, ShrinkMaxRuns: o.ShrinkMaxRuns,
+		DeterminismEvery: o.DeterminismEvery, Envelope: o.Envelope,
+		Inject: o.Inject, Shards: o.Shards,
+	}); err != nil {
+		return nil, err
+	}
+	camp.Expect(o.Trials)
 
 	// The campaign proceeds one round-robin lap at a time; trials within a
 	// lap are independent (distinct cells) and run on the pool.
@@ -667,56 +582,33 @@ func Run(o Options) (*Report, error) {
 		if start+count > o.Trials {
 			count = o.Trials - start
 		}
-		specs := make([]trialSpec, count)
-		for j := 0; j < count; j++ {
+		specs = make([]trialSpec, count)
+		for j := range specs {
 			i := start + j
 			c := cells[i%len(cells)]
 			lap := i / len(cells)
 			n := c.proto.Sizes[lap%len(c.proto.Sizes)]
-			t := CapT(c.proto, n)
-			sp := trialSpec{
-				i: i, lap: lap, c: c, n: n, t: t,
+			key := c.proto.Name + "/" + c.adv.Name
+			specs[j] = trialSpec{
+				i: i, lap: lap, c: c, n: n, t: CapT(c.proto, n),
 				seed:   mix(o.Seed, i),
 				inputs: TrialInputs(n, lap),
-				key:    c.proto.Name + "/" + c.adv.Name,
+				key:    key,
+				base:   lastSchedule[key],
 			}
-			sp.base = lastSchedule[sp.key]
-			if o.Journal != nil {
-				sp.jkey = trialKey(o, sp)
-				if raw, ok := o.Journal.Lookup(sp.jkey); ok {
-					rec, err := decodeTrialRecord(raw)
-					if err != nil {
-						return nil, err
-					}
-					sp.rec = rec
-				}
-			}
-			spec := sp // capture per-trial values for the closure
-			sp.makeAdv = func() (sim.Adversary, error) {
-				return wrapInject(spec.c.adv.Make(spec.base, spec.n, spec.t, spec.seed), o.Inject, spec.t)
-			}
-			specs[j] = sp
 		}
-		err := partrial.Do(count, o.Workers,
-			func(j int) (trialOut, error) { return produce(specs[j]) },
-			func(j int, out trialOut) error { return commit(specs[j], out) })
-		if err != nil {
-			if o.Journal != nil {
-				o.Journal.Sync() // best effort: keep committed trials durable
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if err := camp.Run(count); err != nil {
+			if campaign.Interrupted(err) {
 				// Graceful shutdown: every committed trial kept its
 				// artifacts and journal record; the caller gets the
 				// partial report and can resume later.
-				return report, fmt.Errorf("torture: campaign interrupted: %w", err)
+				return report, err
 			}
 			return nil, err
 		}
 	}
-	if o.Journal != nil {
-		if err := o.Journal.Sync(); err != nil {
-			return nil, fmt.Errorf("torture: journal sync: %w", err)
-		}
+	if err := camp.Finish(); err != nil {
+		return nil, err
 	}
 	logf("%s", strings.TrimRight(report.Summary(), "\n"))
 	return report, nil

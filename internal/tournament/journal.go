@@ -1,13 +1,8 @@
 package tournament
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-
 	"omicon/internal/journal"
 	"omicon/internal/metrics"
-	"omicon/internal/torture"
 )
 
 // recordVersion versions the tournament journal payload schema.
@@ -30,25 +25,19 @@ type trialRecord struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// trialOut hands one trial from a pool worker to the serial commit
-// phase: a live outcome or a journaled record, never both.
-type trialOut struct {
-	out *torture.Outcome
-	rec *trialRecord
-}
-
 // trialKey content-hashes everything that determines a trial's
 // execution. Unlike torture's key it deliberately excludes Workers AND
 // Shards: the sharded and goroutine-per-process engines are observably
 // identical and commits are serial either way, so a journaled tournament
 // may resume at any width or engine mode and still replay its records.
-func trialKey(proto, adv string, tr trial) string {
+func trialKey(proto, adv string, tr *trial) string {
 	return journal.Key("tournament/v1", proto, adv, tr.n, tr.t, tr.seed, tr.variant)
 }
 
-// tournamentConfig is the journal's leading configuration record: the
-// option subset that changes trial outcomes. Workers and Shards are
-// deliberately absent (see trialKey).
+// tournamentConfig is the journal's leading configuration record
+// (campaign.Guard): the option subset that changes trial outcomes. Workers
+// and Shards are deliberately absent (see trialKey). Guard compares the
+// rendered record byte-for-byte, so field order is format.
 type tournamentConfig struct {
 	V             int              `json:"v"`
 	Seed          uint64           `json:"seed"`
@@ -60,39 +49,3 @@ type tournamentConfig struct {
 }
 
 const tournamentConfigKey = "tournament-campaign/v1"
-
-// checkTournamentConfig verifies (or establishes) the journal's config
-// record, so records only ever replay into the identical tournament.
-func checkTournamentConfig(o Options) error {
-	cfg := tournamentConfig{
-		V: recordVersion, Seed: o.Seed, TrialsPerCell: o.TrialsPerCell,
-		Protocols: o.Protocols, Adversaries: o.Adversaries,
-		Sizes: o.Sizes, Envelope: o.Envelope,
-	}
-	want, err := json.Marshal(cfg)
-	if err != nil {
-		return err
-	}
-	if have, ok := o.Journal.Lookup(tournamentConfigKey); ok {
-		if !bytes.Equal(have, want) {
-			return fmt.Errorf("tournament: journal belongs to a different tournament (journaled config %s, current %s); use matching flags or a fresh journal", have, want)
-		}
-		return nil
-	}
-	if err := o.Journal.Append(tournamentConfigKey, cfg); err != nil {
-		return err
-	}
-	return o.Journal.Sync()
-}
-
-// decodeTrialRecord parses a journaled trial payload.
-func decodeTrialRecord(raw json.RawMessage) (*trialRecord, error) {
-	var rec trialRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("tournament: journal record: %w", err)
-	}
-	if rec.V > recordVersion {
-		return nil, fmt.Errorf("tournament: journal record version %d, this build understands <= %d", rec.V, recordVersion)
-	}
-	return &rec, nil
-}

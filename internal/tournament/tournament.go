@@ -18,15 +18,15 @@ package tournament
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strings"
 
+	"omicon/internal/campaign"
 	"omicon/internal/journal"
 	"omicon/internal/metrics"
-	"omicon/internal/partrial"
 	"omicon/internal/telemetry"
 	"omicon/internal/torture"
 	"omicon/internal/trace"
@@ -154,8 +154,6 @@ type trial struct {
 	n, t    int
 	seed    uint64
 	inputs  []int
-	jkey    string
-	rec     *trialRecord // journaled outcome, attached at spec-build time
 }
 
 // cellSeed derives a trial's seed from the run seed and the cell
@@ -182,22 +180,25 @@ func tSweep(spec torture.ProtoSpec, n int) []int {
 	return []int{1, top}
 }
 
+// tournMetrics holds the telemetry handles (nil without Options.Telemetry):
+// the kernel moves the progress series, Run's fold the outcome counters.
 type tournMetrics struct {
-	trials     *telemetry.Counter
+	progress   campaign.Progress
 	losses     *telemetry.Counter
 	unexpected *telemetry.Counter
 	mcMisses   *telemetry.Counter
-	resumed    *telemetry.Counter
 }
 
-func newTournMetrics(reg *telemetry.Registry, target int) tournMetrics {
-	reg.Gauge("omicon_tournament_trials_target", "total trials this tournament will run").Set(float64(target))
+func newTournMetrics(reg *telemetry.Registry) tournMetrics {
 	return tournMetrics{
-		trials:     reg.Counter("omicon_tournament_trials_total", "tournament trials committed (live and replayed)"),
+		progress: campaign.Progress{
+			Target:  reg.Gauge("omicon_tournament_trials_target", "total trials this tournament will run"),
+			Done:    reg.Counter("omicon_tournament_trials_total", "tournament trials committed (live and replayed)"),
+			Resumed: reg.Counter("omicon_tournament_resumed_total", "trials replayed from the journal"),
+		},
 		losses:     reg.Counter("omicon_tournament_losses_total", "trials the adversary won (oracle violations)"),
 		unexpected: reg.Counter("omicon_tournament_unexpected_losses_total", "losing trials of protocols that promise correctness"),
 		mcMisses:   reg.Counter("omicon_tournament_mc_misses_total", "monte-carlo misses of WHP properties"),
-		resumed:    reg.Counter("omicon_tournament_resumed_total", "trials replayed from the journal"),
 	}
 }
 
@@ -232,7 +233,9 @@ func resolve(o Options) ([]torture.ProtoSpec, []torture.AdvSpec, error) {
 	return protos, advs, nil
 }
 
-// Run executes the tournament.
+// Run executes the tournament as one batch on the campaign kernel
+// (internal/campaign), which keeps folds strictly serial in trial order at
+// any worker count and owns journaled resume.
 func Run(o Options) (*Report, error) {
 	if o.TrialsPerCell <= 0 {
 		o.TrialsPerCell = 3
@@ -240,15 +243,6 @@ func Run(o Options) (*Report, error) {
 	protos, advs, err := resolve(o)
 	if err != nil {
 		return nil, err
-	}
-	ctx := o.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if o.Journal != nil {
-		if err := checkTournamentConfig(o); err != nil {
-			return nil, err
-		}
 	}
 	logf := func(format string, args ...any) {
 		if o.Log != nil {
@@ -283,89 +277,62 @@ func Run(o Options) (*Report, error) {
 					ci := len(report.Cells)
 					report.Cells = append(report.Cells, c)
 					for v := 0; v < o.TrialsPerCell; v++ {
-						tr := trial{
+						trials = append(trials, trial{
 							cell: ci, variant: v, n: n, t: t,
 							seed:   cellSeed(o.Seed, p.Name, a.Name, n, t, v),
 							inputs: torture.TrialInputs(n, v),
-						}
-						if o.Journal != nil {
-							tr.jkey = trialKey(p.Name, a.Name, tr)
-							if raw, ok := o.Journal.Lookup(tr.jkey); ok {
-								rec, err := decodeTrialRecord(raw)
-								if err != nil {
-									return nil, err
-								}
-								tr.rec = rec
-							}
-						}
-						trials = append(trials, tr)
+						})
 					}
 				}
 			}
 		}
 	}
-	met := newTournMetrics(o.Telemetry, len(trials))
+	met := newTournMetrics(o.Telemetry)
 
-	// produce executes one trial (or serves its journaled record); commit
-	// folds it into its cell. partrial.Do keeps commits strictly serial
-	// in trial order at any worker count.
-	produce := func(i int) (trialOut, error) {
-		tr := trials[i]
-		if tr.rec != nil {
-			return trialOut{rec: tr.rec}, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return trialOut{}, err
-		}
+	// produce executes one trial through torture.ExecuteJob, in-process or
+	// through Options.Remote.
+	produce := func(ctx context.Context, i int) (*torture.Outcome, error) {
+		tr := &trials[i]
 		c := report.Cells[tr.cell]
 		job := torture.Job{
 			Trial: i, Protocol: c.Protocol, Adversary: c.Adversary,
 			N: tr.n, T: tr.t, Seed: tr.seed, Inputs: tr.inputs,
 			Envelope: o.Envelope, Shards: o.Shards, Capture: o.Trace.Enabled(),
 		}
-		var oc *torture.Outcome
-		var err error
 		if o.Remote != nil {
-			oc, err = o.Remote(ctx, job)
-		} else {
-			oc, err = torture.ExecuteJob(job)
+			return o.Remote(ctx, job)
 		}
-		if err != nil {
-			return trialOut{}, err
-		}
-		return trialOut{out: oc}, nil
+		return torture.ExecuteJob(job)
 	}
 
-	commit := func(i int, out trialOut) error {
-		tr := trials[i]
+	// record reduces a live outcome to the cell-stat contributions fold
+	// needs, replaying the trial's trace capture into the campaign stream.
+	record := func(i int, oc *torture.Outcome) (*trialRecord, error) {
+		tr := &trials[i]
 		c := report.Cells[tr.cell]
-		rec := out.rec
-		if rec == nil {
-			oc := out.out
-			rec = &trialRecord{
-				V: recordVersion, Protocol: c.Protocol, Adversary: c.Adversary,
-				N: tr.n, T: tr.t, Variant: tr.variant, Seed: tr.seed,
-				MCMisses: oc.MCMisses, Rounds: len(oc.Transcript.Rounds),
-			}
-			for _, v := range oc.Violations {
-				rec.Violations = append(rec.Violations, v.String())
-			}
-			for _, e := range oc.Capture {
-				o.Trace.Emit(e)
-			}
-			if o.Journal != nil {
-				if err := o.Journal.Append(tr.jkey, rec); err != nil {
-					return fmt.Errorf("tournament: journal append: %w", err)
-				}
-			}
-		} else {
-			report.Resumed++
-			met.resumed.Inc()
+		rec := &trialRecord{
+			V: recordVersion, Protocol: c.Protocol, Adversary: c.Adversary,
+			N: tr.n, T: tr.t, Variant: tr.variant, Seed: tr.seed,
+			MCMisses: oc.MCMisses, Rounds: len(oc.Transcript.Rounds),
 		}
+		for _, v := range oc.Violations {
+			rec.Violations = append(rec.Violations, v.String())
+		}
+		for _, e := range oc.Capture {
+			o.Trace.Emit(e)
+		}
+		return rec, nil
+	}
 
+	// fold commits one record, live or replayed, into its cell.
+	fold := func(i int, rec *trialRecord, replayed bool) error {
+		tr := &trials[i]
+		c := report.Cells[tr.cell]
+		if replayed {
+			report.Resumed++
+		}
 		c.Trials++
 		report.Trials++
-		met.trials.Inc()
 		c.RoundsTotal += rec.Rounds
 		if rec.Rounds > c.RoundsMax {
 			c.RoundsMax = rec.Rounds
@@ -381,7 +348,7 @@ func Run(o Options) (*Report, error) {
 		report.Losses++
 		met.losses.Inc()
 		for _, v := range rec.Violations {
-			if !containsStr(c.Violations, v) {
+			if !slices.Contains(c.Violations, v) {
 				c.Violations = append(c.Violations, v)
 			}
 		}
@@ -395,30 +362,32 @@ func Run(o Options) (*Report, error) {
 		return nil
 	}
 
-	err = partrial.Do(len(trials), o.Workers, produce, commit)
-	if err != nil {
-		if o.Journal != nil {
-			o.Journal.Sync() // best effort: keep committed trials durable
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return report, fmt.Errorf("tournament: interrupted: %w", err)
+	camp := &campaign.Campaign[*torture.Outcome, *trialRecord]{
+		Name: "tournament", Ctx: o.Ctx, Workers: o.Workers,
+		Journal: o.Journal, Version: recordVersion, Progress: met.progress,
+		Key: func(i int) string {
+			c := report.Cells[trials[i].cell]
+			return trialKey(c.Protocol, c.Adversary, &trials[i])
+		},
+		Produce: produce, Record: record, Fold: fold,
+	}
+	if err := camp.Guard(tournamentConfigKey, tournamentConfig{
+		V: recordVersion, Seed: o.Seed, TrialsPerCell: o.TrialsPerCell,
+		Protocols: o.Protocols, Adversaries: o.Adversaries,
+		Sizes: o.Sizes, Envelope: o.Envelope,
+	}); err != nil {
+		return nil, err
+	}
+	camp.Expect(len(trials))
+	if err := camp.Run(len(trials)); err != nil {
+		if campaign.Interrupted(err) {
+			return report, err
 		}
 		return nil, err
 	}
-	if o.Journal != nil {
-		if err := o.Journal.Sync(); err != nil {
-			return nil, fmt.Errorf("tournament: journal sync: %w", err)
-		}
+	if err := camp.Finish(); err != nil {
+		return nil, err
 	}
 	logf("%s", strings.TrimRight(report.Summary(), "\n"))
 	return report, nil
-}
-
-func containsStr(s []string, x string) bool {
-	for _, y := range s {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }

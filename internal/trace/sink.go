@@ -210,17 +210,3 @@ func ReadFile(path string) ([]Event, error) {
 	defer f.Close()
 	return ReadAll(f)
 }
-
-// WriteFile persists events as a JSONL trace at path — how the torture
-// harness dumps a failing trial's ring buffer next to its corpus entry.
-func WriteFile(path string, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	s := NewJSONL(f)
-	for _, e := range events {
-		s.Emit(e)
-	}
-	return s.Close()
-}

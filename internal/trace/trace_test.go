@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -52,7 +53,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestWriteReadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace.jsonl")
 	events := sampleEvents()
-	if err := WriteFile(path, events); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewJSONL(f)
+	for _, e := range events {
+		sink.Emit(e)
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
