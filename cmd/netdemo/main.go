@@ -75,7 +75,7 @@ func run(ctx context.Context) error {
 		n        = flag.Int("n", 12, "number of processes")
 		t        = flag.Int("t", 2, "fault budget")
 		algoName = flag.String("algo", "earlystop", "phaseking | earlystop | floodset | optimal")
-		advName  = flag.String("adversary", "none", "coordinator-side fault injector (structural strategies only)")
+		advName  = flag.String("adversary", "none", "coordinator-side fault injector; the coordinator sees no inputs, snapshots or randomness, so split-vote, flood-split, delayed-strike, coin-hider, budget-schedule and late act blind")
 		listen   = flag.String("listen", "127.0.0.1:0", "coordinator listen address")
 		addr     = flag.String("addr", "", "node: coordinator address")
 		id       = flag.Int("id", -1, "node: process id")

@@ -61,6 +61,7 @@ func TestCommandSmoke(t *testing.T) {
 		{"epochs", []string{"-n", "36", "-t", "1", "-seeds", "2"}, "Figure 3", 0},
 		{"valency", []string{"-n", "3"}, "Lemma 13", 0},
 		{"netdemo", []string{"-role", "local", "-n", "8", "-t", "1", "-algo", "phaseking"}, "agreement   : true", 0},
+		{"netdemo", []string{"-role", "local", "-n", "12", "-t", "2", "-algo", "earlystop", "-adversary", "static-crash"}, "agreement   : true", 0},
 		{"paper", []string{"-quick"}, "All experiments completed", 0},
 	}
 

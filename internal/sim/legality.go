@@ -5,7 +5,8 @@ import "fmt"
 // Legality validates a stream of adversary actions against the model rules
 // of Section 2: corruption is permanent and budgeted by t, and only
 // messages with a corrupted endpoint may be omitted. It is the single
-// authority on action legality — the engine runs one per execution, and
+// authority on action legality — every communication phase (CommPhase, on
+// the engine and on the TCP coordinator) runs one per execution, and
 // property tests run a strict one against every built-in strategy, so the
 // rules enforced at runtime and the rules asserted in tests cannot drift
 // apart.
@@ -48,6 +49,14 @@ func (l *Legality) NumCorrupted() int { return l.numCorr }
 // Mask returns a copy of the corrupted set.
 func (l *Legality) Mask() []bool { return append([]bool(nil), l.corrupted...) }
 
+// Corrupt applies one corruption outside any adversary action — a real
+// process failure a driver absorbs as an in-model fault — with the budget
+// check of Check.
+func (l *Legality) Corrupt(round, p int) error {
+	_, err := l.checkIntoCleared(round, nil, Action{Corrupt: []int{p}}, nil)
+	return err
+}
+
 // Check validates one communication phase's action against the outbox and
 // applies its corruptions. On success it returns the set of dropped outbox
 // indices. Corruptions are applied before drops are judged (a message from
@@ -81,10 +90,10 @@ func (l *Legality) CheckInto(round int, outbox []Message, act Action, dropped []
 }
 
 // checkIntoCleared is CheckInto minus the reset pass: dropped must arrive
-// all-false. The engine clears the buffer in per-shard chunks in the view
-// phase and then runs the (inherently serial — the corrupted set is
-// stateful) validation here, so the O(m) memclear is off the
-// coordinator's critical path.
+// all-false. CommPhase clears the buffer in per-chunk ranges with the View
+// fill and then runs the (inherently serial — the corrupted set is
+// stateful) validation here, so the O(m) memclear runs chunk-parallel on
+// the engine's shard workers.
 func (l *Legality) checkIntoCleared(round int, outbox []Message, act Action, dropped []bool) (int, error) {
 	for _, p := range act.Corrupt {
 		if p < 0 || p >= l.n {

@@ -32,11 +32,9 @@ type observer struct {
 	counters *metrics.Counters
 	sources  []*rng.Source
 
-	spans     []string // current span per process, SpanNone by default
-	pending   []map[string]metrics.Delta
-	queued    [][]trace.Event // per-process events awaiting the barrier flush
-	corrupted []bool
-	ncorrupt  int64
+	spans   []string // current span per process, SpanNone by default
+	pending []map[string]metrics.Delta
+	queued  [][]trace.Event // per-process events awaiting the barrier flush
 
 	lastSnap  metrics.Snapshot
 	lastCalls []int64
@@ -53,7 +51,6 @@ func newObserver(tr *trace.Tracer, counters *metrics.Counters, sources []*rng.So
 		spans:     make([]string, n),
 		pending:   make([]map[string]metrics.Delta, n),
 		queued:    make([][]trace.Event, n),
-		corrupted: make([]bool, n),
 		lastCalls: make([]int64, n),
 		lastBits:  make([]int64, n),
 	}
@@ -203,19 +200,6 @@ func (o *observer) roundEnd(round int, outbox []Message, drops int64, submitted 
 	}
 	o.lastSnap = snap
 	o.emitRecord(trace.KindRoundEnd, rec, drops)
-}
-
-// corruptions emits one corrupt event per process newly taken over this
-// round; Value carries the adversary's cumulative budget drain.
-func (o *observer) corruptions(round int, corrupt []int) {
-	for _, p := range corrupt {
-		if p < 0 || p >= len(o.corrupted) || o.corrupted[p] {
-			continue
-		}
-		o.corrupted[p] = true
-		o.ncorrupt++
-		o.tr.Emit(trace.Event{Kind: trace.KindCorrupt, Round: round, Proc: p, Value: o.ncorrupt})
-	}
 }
 
 // decide records a decision event for a terminating process. Queued rather

@@ -1,11 +1,10 @@
 package sim
 
 // Addressed is implemented by message-like values carried from one process
-// to another. It is the key contract for CanonicalSort: both the in-memory
-// engine ([]Message) and the TCP coordinator (its internal frame batches)
-// order their per-round outboxes through the same helper, so the canonical
-// order — which Drop indices, transcripts and replay all depend on — cannot
-// drift between the two paths.
+// to another: the sort key of Orderer. CommPhase orders every round's
+// outbox through it, in the engine and on the TCP coordinator alike, so the
+// canonical order — which Drop indices, transcripts and replay all depend
+// on — is defined once.
 type Addressed interface {
 	// Endpoints returns the sender and receiver process ids.
 	Endpoints() (from, to int)

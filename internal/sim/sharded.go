@@ -18,8 +18,9 @@ import (
 // than a scheduler round trip. At one shard (Shards 0 or 1) the caller's
 // goroutine does all of it: no worker, no channel, every phase a plain
 // call, and the step phase appends straight into the round outbox. With
-// k >= 2 a worker goroutine per shard runs the step phase and the chunked
-// parts of the communication phase in parallel.
+// k >= 2 a worker goroutine per shard runs the step phase and, as chunk w
+// of the embedded CommPhase (comm.go), the chunked parts of the
+// communication phase in parallel.
 //
 // DETERMINISM CONTRACT: every observable output — Result, metrics,
 // transcripts, traces, torture ring dumps — is byte-identical at any shard
@@ -37,14 +38,6 @@ import (
 //     fold into the shared counters only at traced barriers;
 //   - trace events from processes queue in per-pid slots and flush
 //     pid-major at barriers, the observer's discipline.
-//
-// The communication phase is chunked across the shards too: View
-// construction and the drop-buffer clear run per shard, and inbox carving
-// runs as a two-pass counting pass (per-shard count arrays merged into
-// absolute cursors in shard order), keeping per-receiver inboxes carved
-// From-sorted from one reused backing arena — zero steady-state
-// allocation, and delivered slices valid until the receiver's next
-// Exchange.
 
 // doneEvent records a termination observed in a step phase, folded into
 // the Result after it in pid order.
@@ -67,27 +60,23 @@ const (
 // shardState is one shard's scratch, touched by its stepping goroutine
 // during phases and by the coordinator between them.
 type shardState struct {
-	lo, hi   int // contiguous pid range [lo, hi)
 	outbox   []Message
 	sentBits int64
 	dones    []doneEvent
 	err      error // first validation error, in pid order
 	panicked any   // a protocol's panic value; the shard stopped stepping
-	counts   []int // per-receiver counts, then absolute fill cursors
 	// randomness partials folded at traced barriers
 	randCalls, randBits int64
 }
 
 type engine struct {
-	cfg      Config
-	proto    Protocol
-	counters *metrics.Counters
-	sources  []*rng.Source
-	res      *Result
+	CommPhase // shard w runs chunk w of its chunked parts
 
-	legality  *Legality
+	cfg   Config
+	proto Protocol
+	res   *Result
+
 	obs       *observer // nil when untraced
-	fast      bool      // NoFaults + untraced: skip sort/View/legality
 	round     int
 	lastRound int
 
@@ -98,27 +87,8 @@ type engine struct {
 
 	crew     *crew
 	procs    []coroutine // the crew's, indexed by pid
-	alive    []bool
-	aborting bool // set by shutdown: parked processes unwind
-	panicked any  // the first protocol panic, re-raised by Run
-
-	snapshots []any
-
-	// Hot-path buffers (docs/PERFORMANCE.md): the inbox backing comes from
-	// a reused arena (delivered slices are valid only until the receiver's
-	// next Exchange), so a steady-state round allocates nothing. chunks
-	// holds the outbox split for the chunk-parallel phases; inStarts (n+1
-	// entries) the receiver-major carve offsets.
-	outbox     []Message
-	orderer    Orderer[Message]
-	droppedBuf []bool
-	dropped    []bool // this round's drop mask; nil when nothing dropped
-	chunks     []int
-	inStarts   []int
-	arena      []Message
-	backing    []Message
-	inboxes    [][]Message
-	view       View
+	aborting bool        // set by shutdown: parked processes unwind
+	panicked any         // the first protocol panic, re-raised by Run
 }
 
 // newEngine sets up one execution of the normalized cfg: shards, workers
@@ -132,22 +102,15 @@ func newEngine(cfg Config, proto Protocol) *engine {
 	k = max(1, min(k, n))
 
 	s := &engine{
-		cfg:       cfg,
-		proto:     proto,
-		counters:  &metrics.Counters{},
-		sources:   make([]*rng.Source, n),
-		res:       newResult(cfg),
-		legality:  NewLegality(n, cfg.T),
-		shards:    make([]shardState, k),
-		alive:     make([]bool, n),
-		snapshots: make([]any, n),
-		chunks:    make([]int, k+1),
-		inStarts:  make([]int, n+1),
-		inboxes:   make([][]Message, n),
+		cfg:    cfg,
+		proto:  proto,
+		res:    newResult(cfg),
+		shards: make([]shardState, k),
 	}
-	if _, benign := cfg.Adversary.(NoFaults); benign && !cfg.Trace.Enabled() {
-		s.fast = true
-	}
+	s.CommPhase.Init(n, cfg.T, k, cfg.Adversary, cfg.Trace, &metrics.Counters{}, make([]bool, n), s.res.Decisions)
+	s.view.Inputs = s.res.Inputs // a TCP View has none: inputs are node-local
+	s.snapshots = make([]any, n)
+	s.sources = make([]*rng.Source, n)
 	// One contiguous allocation for all n sources; streams are identical
 	// to rng.New(seed, p).
 	srcBacking := rng.NewSources(cfg.Seed, n)
@@ -158,14 +121,8 @@ func newEngine(cfg Config, proto Protocol) *engine {
 		env := s.procs[p].env
 		env.eng, env.id, env.round, env.rand = s, p, 0, s.sources[p]
 	}
-	// partition.Blocks' split: the first n%k shards take one extra pid.
-	for w, lo := 0, 0; w < k; w++ {
-		hi := lo + n/k
-		if w < n%k {
-			hi++
-		}
-		s.shards[w] = shardState{lo: lo, hi: hi, counts: make([]int, n), dones: make([]doneEvent, 0, hi-lo)}
-		lo = hi
+	for w := range s.shards {
+		s.shards[w].dones = make([]doneEvent, 0, s.cuts[w+1]-s.cuts[w])
 	}
 	if cfg.Trace.Enabled() {
 		s.obs = newObserver(cfg.Trace, s.counters, s.sources)
@@ -250,8 +207,8 @@ func (s *engine) loop() error {
 	return nil
 }
 
-// communicate runs one communication phase: merge shard outboxes, account
-// sent bits, consult the adversary, enforce legality, carve inboxes.
+// communicate runs one communication phase: merge shard outboxes, then the
+// kernel's parts, chunked across the shards.
 func (s *engine) communicate() error {
 	for w := range s.shards {
 		if err := s.shards[w].err; err != nil {
@@ -260,7 +217,8 @@ func (s *engine) communicate() error {
 			return err
 		}
 	}
-	// One shard appended straight into its outbox; more concatenate.
+	// One shard appended straight into its outbox; more concatenate into
+	// the kernel's, keeping its grown capacity round to round.
 	out, bits := s.shards[0].outbox, s.shards[0].sentBits
 	if len(s.shards) > 1 {
 		out, bits = s.outbox[:0], 0
@@ -269,120 +227,29 @@ func (s *engine) communicate() error {
 			bits += s.shards[w].sentBits
 		}
 	}
-	s.outbox = out // keep the grown capacity for the next round
-	s.counters.AddMessages(int64(len(out)), bits)
-
-	if s.fast {
-		// NoFaults, untraced: nothing observes the canonical order, no
-		// message can be dropped, and no View is ever read. The outbox is
-		// sender-grouped ascending, so each receiver's inbox carves out
-		// From-sorted with ties in send order — exactly the order the
-		// canonical path delivers.
-		s.carve(nil)
-		return nil
-	}
-
-	s.orderer.Sort(out, s.cfg.N)
-
-	s.setChunks(len(out))
-	if cap(s.droppedBuf) < len(out) {
-		s.droppedBuf = make([]bool, len(out))
-	}
-	s.dropped = s.droppedBuf[:len(out)]
-	s.ensureView()
-	s.view.Round = s.round
-	s.view.Outbox = out
-	s.runPhase(taskView)
-
-	action := s.cfg.Adversary.Step(&s.view)
-	ndrop, err := s.legality.checkIntoCleared(s.round, out, action, s.dropped)
-	if err != nil {
-		return err
-	}
-	if s.obs != nil {
-		// Barrier: fold the per-shard randomness partials (computed during
-		// taskView; every source has been quiescent since) so the shared
-		// counters are exact for the snapshot.
-		var calls, rbits int64
-		for w := range s.shards {
-			calls += s.shards[w].randCalls
-			rbits += s.shards[w].randBits
+	if s.open(s.round, out, bits) {
+		s.runPhase(taskView)
+		ndrop, err := s.judge()
+		if err != nil {
+			return err
 		}
-		s.counters.SetRandom(calls, rbits)
-		s.obs.corruptions(s.round, action.Corrupt)
-		s.obs.roundEnd(s.round, out, int64(ndrop), s.alive)
+		if s.obs != nil {
+			// Barrier: fold the per-shard randomness partials (computed during
+			// taskView; every source has been quiescent since) so the shared
+			// counters are exact for the snapshot.
+			var calls, rbits int64
+			for w := range s.shards {
+				calls += s.shards[w].randCalls
+				rbits += s.shards[w].randBits
+			}
+			s.counters.SetRandom(calls, rbits)
+			s.obs.roundEnd(s.round, out, int64(ndrop), s.alive)
+		}
 	}
-	if ndrop == 0 {
-		s.carve(nil)
-	} else {
-		s.carve(s.dropped)
-	}
-	return nil
-}
-
-// carve partitions the surviving outbox into per-receiver inboxes with a
-// chunked two-pass counting carve: each shard counts survivors per
-// receiver over its outbox chunk, the coordinator turns the per-(shard,
-// receiver) counts into absolute cursors in shard order, and each shard
-// places its chunk's survivors and publishes its own pids' inbox slices.
-// The backing comes from a reused arena — safe because the arena is only
-// rewritten in the next communication phase, after every live process has
-// yielded its next outbox, so each delivered slice stays intact until its
-// receiver's next Exchange.
-func (s *engine) carve(dropped []bool) {
-	s.dropped = dropped
-	s.setChunks(len(s.outbox))
 	s.runPhase(taskCount)
-
-	n := s.cfg.N
-	off := 0
-	for p := 0; p < n; p++ {
-		s.inStarts[p] = off
-		for w := range s.shards {
-			c := s.shards[w].counts[p]
-			s.shards[w].counts[p] = off
-			off += c
-		}
-	}
-	s.inStarts[n] = off
-	if off > 0 {
-		if cap(s.arena) < off {
-			s.arena = make([]Message, max(off, 2*cap(s.arena)))
-		}
-		s.backing = s.arena[:off]
-	} else {
-		s.backing = nil
-	}
+	s.cursors()
 	s.runPhase(taskFill)
-}
-
-// ensureView allocates the reused View backing on the first adversarial or
-// traced round (the NoFaults fast path never gets here); it is overwritten
-// each round — the aliasing contract documented on View.
-func (s *engine) ensureView() {
-	v := &s.view
-	if v.Terminated != nil {
-		return
-	}
-	n := s.cfg.N
-	v.N = n
-	v.T = s.cfg.T
-	v.Inputs = s.res.Inputs
-	v.Corrupted = make([]bool, n)
-	v.Terminated = make([]bool, n)
-	v.Decisions = make([]int, n)
-	v.Snapshots = make([]any, n)
-	v.RandomCalls = make([]int64, n)
-	v.RandomBits = make([]int64, n)
-}
-
-// setChunks splits the current outbox into one contiguous chunk per shard
-// for the chunked phases (drop-clear, count, fill).
-func (s *engine) setChunks(m int) {
-	k := len(s.shards)
-	for w := 0; w <= k; w++ {
-		s.chunks[w] = w * m / k
-	}
+	return nil
 }
 
 // runPhase runs one task on every shard: inline at one shard, otherwise
@@ -413,11 +280,15 @@ func (s *engine) runTask(w int, t shardTask) {
 	case taskStep:
 		s.stepShard(w)
 	case taskView:
-		s.viewShard(w)
+		s.viewChunk(w)
+		if s.obs != nil {
+			st := &s.shards[w]
+			st.randCalls, st.randBits = rng.Sum(s.sources[s.cuts[w]:s.cuts[w+1]]...)
+		}
 	case taskCount:
-		s.countShard(w)
+		s.countChunk(w)
 	case taskFill:
-		s.fillShard(w)
+		s.fillChunk(w)
 	}
 }
 
@@ -434,7 +305,7 @@ func (s *engine) stepShard(w int) {
 	st.dones = st.dones[:0]
 	st.err = nil
 	n := s.cfg.N
-	p := st.lo
+	p, hi := s.cuts[w], s.cuts[w+1]
 	defer func() {
 		if r := recover(); r != nil {
 			st.panicked = r
@@ -442,7 +313,7 @@ func (s *engine) stepShard(w int) {
 			s.procs[p].next = nil
 		}
 	}()
-	for ; p < st.hi; p++ {
+	for ; p < hi; p++ {
 		if !s.alive[p] {
 			continue
 		}
@@ -470,74 +341,4 @@ func (s *engine) stepShard(w int) {
 	}
 	st.outbox = out
 	st.sentBits = bits
-}
-
-// viewShard fills shard w's pid range of the reused View, clears its chunk
-// of the drop buffer, and (traced) folds its randomness partial. Reads of
-// snapshots and sources are safe: every process is parked or done.
-func (s *engine) viewShard(w int) {
-	st := &s.shards[w]
-	v := &s.view
-	lo, hi := st.lo, st.hi
-	copy(v.Corrupted[lo:hi], s.legality.corrupted[lo:hi])
-	copy(v.Decisions[lo:hi], s.res.Decisions[lo:hi])
-	copy(v.Snapshots[lo:hi], s.snapshots[lo:hi])
-	for p := lo; p < hi; p++ {
-		v.Terminated[p] = s.res.TerminatedAt[p] >= 0
-		v.RandomCalls[p] = s.sources[p].Calls()
-		v.RandomBits[p] = s.sources[p].BitsDrawn()
-	}
-	d := s.dropped[s.chunks[w]:s.chunks[w+1]]
-	for i := range d {
-		d[i] = false
-	}
-	if s.obs != nil {
-		st.randCalls, st.randBits = rng.Sum(s.sources[lo:hi]...)
-	}
-}
-
-// countShard counts this shard's outbox chunk's surviving messages per
-// receiver into the shard's count array.
-func (s *engine) countShard(w int) {
-	st := &s.shards[w]
-	counts := st.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	dropped := s.dropped
-	for idx := s.chunks[w]; idx < s.chunks[w+1]; idx++ {
-		if dropped != nil && dropped[idx] {
-			continue
-		}
-		if m := s.outbox[idx]; s.alive[m.To] { // terminated receivers discard silently
-			counts[m.To]++
-		}
-	}
-}
-
-// fillShard places this chunk's survivors at the shard's absolute cursors
-// (disjoint across shards by construction) and publishes the inbox slices
-// of the shard's own pids, capacity-clamped so a protocol appending to its
-// inbox cannot clobber a neighbour's messages.
-func (s *engine) fillShard(w int) {
-	st := &s.shards[w]
-	counts := st.counts
-	dropped := s.dropped
-	backing := s.backing
-	for idx := s.chunks[w]; idx < s.chunks[w+1]; idx++ {
-		if dropped != nil && dropped[idx] {
-			continue
-		}
-		if m := s.outbox[idx]; s.alive[m.To] {
-			backing[counts[m.To]] = m
-			counts[m.To]++
-		}
-	}
-	for p := st.lo; p < st.hi; p++ {
-		if a, b := s.inStarts[p], s.inStarts[p+1]; s.alive[p] && b > a {
-			s.inboxes[p] = backing[a:b:b]
-		} else {
-			s.inboxes[p] = nil
-		}
-	}
 }

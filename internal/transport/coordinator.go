@@ -111,15 +111,19 @@ type Coordinator struct {
 	opts      Options
 
 	counters  metrics.Counters
-	corrupted []bool
 	crashed   []bool
 	decisions []int
-	inputs    []int
 	outcomes  []sim.Outcome
 	failures  []sim.FailureEvent
 
 	active    []bool
 	numActive int
+
+	// phase is the simulator's own communication phase, run once per
+	// round on outbox, the sends gathered from the nodes' batches; active
+	// and decisions are the per-process state it reads.
+	phase  sim.CommPhase
+	outbox []sim.Message
 
 	// Resume bookkeeping: the round and body of the last DELIVER
 	// produced for each node, kept so a reconnecting node that missed
@@ -135,10 +139,6 @@ type Coordinator struct {
 	// Trace bookkeeping: the counter snapshot at the previous round
 	// boundary, so round-end events carry exact wire-cost deltas.
 	lastTraced metrics.Snapshot
-
-	// orderer holds the reusable scratch for canonical outbox ordering,
-	// shared in implementation with the in-memory engine (sim.Orderer).
-	orderer sim.Orderer[outMsg]
 
 	// Live gauges for the debug endpoint, updated at barriers so the HTTP
 	// handler never touches the Serve goroutine's plain slices.
@@ -204,17 +204,17 @@ func NewCoordinator(n, t int, adv sim.Adversary, maxRounds int) *Coordinator {
 		adversary:        adv,
 		maxRounds:        maxRounds,
 		opts:             Options{}.withDefaults(),
-		corrupted:        make([]bool, n),
 		crashed:          make([]bool, n),
 		decisions:        make([]int, n),
-		inputs:           make([]int, n),
 		outcomes:         make([]sim.Outcome, n),
 		active:           make([]bool, n),
+		numActive:        n,
 		lastDeliverRound: make([]int, n),
 		lastDeliverBody:  make([][]byte, n),
 	}
 	for i := range c.decisions {
 		c.decisions[i] = -1
+		c.active[i] = true
 	}
 	return c
 }
@@ -244,20 +244,12 @@ type helloConn struct {
 	ioErr bool
 }
 
-type outMsg struct {
-	from, to int
-	frame    []byte
-}
-
-// Endpoints implements sim.Addressed so the coordinator's outbox is put
-// into canonical order by the same helper as the in-memory engine's.
-func (m outMsg) Endpoints() (from, to int) { return m.from, m.to }
-
 // Serve accepts n node connections on ln and runs the barrier until every
 // node reports DONE or crashes. It closes all node connections before
 // returning; the caller owns ln. On error the returned result still
 // carries per-node outcomes and the failure log observed so far.
 func (c *Coordinator) Serve(ln net.Listener) (*CoordinatorResult, error) {
+	c.phase.Init(c.n, c.t, 1, c.adversary, c.opts.Trace, &c.counters, c.active, c.decisions)
 	conns := make([]*nodeConn, c.n)
 	c.connCh = make(chan helloConn, 2*c.n+4)
 	c.acceptDone = make(chan struct{})
@@ -278,11 +270,6 @@ func (c *Coordinator) Serve(ln net.Listener) (*CoordinatorResult, error) {
 		}
 	}()
 	go c.acceptLoop(ln)
-
-	for i := range c.active {
-		c.active[i] = true
-	}
-	c.numActive = c.n
 	c.liveActive.Store(int64(c.n))
 
 	if c.opts.DebugAddr != "" {
@@ -472,7 +459,7 @@ func (c *Coordinator) runRounds(conns []*nodeConn) error {
 			return fmt.Errorf("transport: run interrupted: %w", err)
 		}
 
-		var outbox []outMsg
+		c.outbox = c.outbox[:0]
 		for id := 0; id < c.n; id++ {
 			if !c.active[id] {
 				continue
@@ -484,11 +471,11 @@ func (c *Coordinator) runRounds(conns []*nodeConn) error {
 				}
 				continue
 			}
-			mark := len(outbox)
-			if err := c.parseFrame(id, body, &outbox); err != nil {
+			mark := len(c.outbox)
+			if err := c.parseFrame(id, body); err != nil {
 				// Drop the crashed node's partially parsed outbox: its
 				// sends this round are synthesized as omissions.
-				outbox = outbox[:mark]
+				c.outbox = c.outbox[:mark]
 				if ferr := c.fail(conns, id, round, err); ferr != nil {
 					return ferr
 				}
@@ -504,7 +491,27 @@ func (c *Coordinator) runRounds(conns []*nodeConn) error {
 			// block on their DELIVER).
 			break
 		}
-		if err := c.communicate(conns, round, outbox); err != nil {
+		c.counters.AddRounds(1)
+		c.liveRound.Store(int64(round))
+		ndrop, err := c.communicate(round)
+		if err != nil {
+			return err
+		}
+		c.liveCorrupted.Store(int64(c.phase.Legality().NumCorrupted()))
+		if c.opts.Trace.Enabled() {
+			// Round boundary: the delta since the previous boundary, crashes
+			// and retries excluded (their events carry those totals).
+			snap := c.counters.Snapshot()
+			c.opts.Trace.Emit(trace.Event{
+				Kind: trace.KindRoundEnd, Round: round, Proc: -1,
+				Rounds:   snap.Rounds - c.lastTraced.Rounds,
+				Messages: snap.Messages - c.lastTraced.Messages,
+				CommBits: snap.CommBits - c.lastTraced.CommBits,
+				Drops:    int64(ndrop),
+			})
+			c.lastTraced = snap
+		}
+		if err := c.deliver(conns, round); err != nil {
 			return err
 		}
 	}
@@ -534,7 +541,7 @@ func (c *Coordinator) readRound(conns []*nodeConn, id, round int) ([]byte, error
 // parseFrame interprets one gathered frame: a DONE retires the node, a
 // BATCH contributes to the outbox. Any malformed content is an error the
 // caller handles under the failure policy.
-func (c *Coordinator) parseFrame(id int, body []byte, outbox *[]outMsg) error {
+func (c *Coordinator) parseFrame(id int, body []byte) error {
 	if len(body) == 0 {
 		return fmt.Errorf("transport: node %d sent empty frame", id)
 	}
@@ -567,7 +574,7 @@ func (c *Coordinator) parseFrame(id int, body []byte, outbox *[]outMsg) error {
 			if to < 0 || to >= c.n {
 				return fmt.Errorf("transport: node %d sent to invalid target %d", id, to)
 			}
-			*outbox = append(*outbox, outMsg{from: id, to: to, frame: frame})
+			c.outbox = append(c.outbox, sim.Msg(id, to, rawPayload(frame)))
 		}
 		return nil
 	default:
@@ -587,28 +594,20 @@ func (c *Coordinator) fail(conns []*nodeConn, id, round int, cause error) error 
 	c.active[id] = false
 	c.numActive--
 	c.crashed[id] = true
-	c.corrupted[id] = true
 	c.outcomes[id] = sim.OutcomeCrashed
 	c.counters.AddCrash()
 	c.failures = append(c.failures, sim.FailureEvent{Process: id, Round: round, Reason: cause.Error()})
 	c.opts.Trace.Emit(trace.Event{Kind: trace.KindCrash, Round: round, Proc: id, Crashes: 1, Note: cause.Error()})
 
-	crashes, budget := 0, 0
-	for p := 0; p < c.n; p++ {
-		if c.crashed[p] {
-			crashes++
-		}
-		if c.corrupted[p] {
-			budget++
-		}
-	}
+	legality := c.phase.Legality()
+	budgetErr := legality.Corrupt(round, id)
 	c.liveActive.Store(int64(c.numActive))
-	c.liveCorrupted.Store(int64(budget))
-	if c.opts.MaxCrashes > 0 && crashes > c.opts.MaxCrashes {
+	c.liveCorrupted.Store(int64(legality.NumCorrupted()))
+	if crashes := len(c.failures); c.opts.MaxCrashes > 0 && crashes > c.opts.MaxCrashes {
 		return fmt.Errorf("transport: %d crashes exceed cap %d: %w", crashes, c.opts.MaxCrashes, cause)
 	}
-	if budget > c.t {
-		return fmt.Errorf("%w: %d > t=%d after crash of node %d: %v", sim.ErrBudget, budget, c.t, id, cause)
+	if budgetErr != nil {
+		return fmt.Errorf("%w after crash of node %d: %v", budgetErr, id, cause)
 	}
 	return nil
 }
@@ -694,117 +693,39 @@ func (c *Coordinator) adopt(hc *helloConn, id int) *nodeConn {
 	return nc
 }
 
-// communicate runs one communication phase: account, consult the
-// adversary on a metadata view, enforce legality, deliver.
-func (c *Coordinator) communicate(conns []*nodeConn, round int, outbox []outMsg) error {
-	c.counters.AddRounds(1)
-	c.orderer.Sort(outbox, c.n)
-	view := &sim.View{
-		Round:       round,
-		N:           c.n,
-		T:           c.t,
-		Inputs:      c.inputs,
-		Corrupted:   append([]bool(nil), c.corrupted...),
-		Terminated:  make([]bool, c.n),
-		Decisions:   append([]int(nil), c.decisions...),
-		Snapshots:   make([]any, c.n),
-		RandomCalls: make([]int64, c.n),
-		RandomBits:  make([]int64, c.n),
+// communicate runs round's communication phase on the gathered outbox —
+// the simulator's kernel: accounting, canonical order, the adversary and
+// its legality, the carve — and encodes each active node's DELIVER into its
+// reused buffer, kept for replay to a node that resumes. It touches no
+// socket. It returns the number of dropped messages.
+func (c *Coordinator) communicate(round int) (int, error) {
+	ndrop, err := c.phase.Communicate(round, c.outbox)
+	if err != nil {
+		return 0, err
 	}
-	for id := 0; id < c.n; id++ {
-		view.Terminated[id] = !c.active[id]
-	}
-	var sentBits int64
-	for _, m := range outbox {
-		view.Outbox = append(view.Outbox, sim.Msg(m.from, m.to, rawPayload(m.frame)))
-		sentBits += int64(len(m.frame)) * 8
-	}
-	c.counters.AddMessages(int64(len(outbox)), sentBits)
-	action := c.adversary.Step(view)
-	for _, p := range action.Corrupt {
-		if p < 0 || p >= c.n {
-			return fmt.Errorf("transport: adversary corrupted invalid process %d", p)
-		}
-		c.corrupted[p] = true
-	}
-	budget := 0
-	for _, b := range c.corrupted {
-		if b {
-			budget++
+	for id, active := range c.active {
+		if active {
+			c.lastDeliverRound[id] = round
+			c.lastDeliverBody[id] = appendDeliver(c.lastDeliverBody[id][:0], c.phase.Inbox(id))
 		}
 	}
-	c.liveRound.Store(int64(round))
-	c.liveCorrupted.Store(int64(budget))
-	if c.opts.Trace.Enabled() {
-		// view.Corrupted is the pre-Step copy; diff it to report only the
-		// takeovers of this round, with cumulative budget drain in Value.
-		drain := int64(0)
-		for _, b := range view.Corrupted {
-			if b {
-				drain++
-			}
-		}
-		for p, b := range c.corrupted {
-			if b && !view.Corrupted[p] {
-				drain++
-				c.opts.Trace.Emit(trace.Event{Kind: trace.KindCorrupt, Round: round, Proc: p, Value: drain})
-			}
-		}
-	}
-	if budget > c.t {
-		return fmt.Errorf("%w: %d > t=%d", sim.ErrBudget, budget, c.t)
-	}
-	dropped := make(map[int]bool, len(action.Drop))
-	for _, idx := range action.Drop {
-		if idx < 0 || idx >= len(outbox) {
-			return fmt.Errorf("transport: drop index %d out of range", idx)
-		}
-		m := outbox[idx]
-		if !c.corrupted[m.from] && !c.corrupted[m.to] {
-			return fmt.Errorf("%w: %d->%d", sim.ErrIllegalOmission, m.from, m.to)
-		}
-		dropped[idx] = true
-	}
-	if c.opts.Trace.Enabled() {
-		// Round boundary: the delta since the previous boundary, crashes
-		// and retries excluded (their events carry those totals).
-		snap := c.counters.Snapshot()
-		c.opts.Trace.Emit(trace.Event{
-			Kind: trace.KindRoundEnd, Round: round, Proc: -1,
-			Rounds:   snap.Rounds - c.lastTraced.Rounds,
-			Messages: snap.Messages - c.lastTraced.Messages,
-			CommBits: snap.CommBits - c.lastTraced.CommBits,
-			Drops:    int64(len(dropped)),
-		})
-		c.lastTraced = snap
-	}
+	return ndrop, nil
+}
 
-	inboxes := make([][]deliverEntry, c.n)
-	for idx, m := range outbox {
-		if dropped[idx] || !c.active[m.to] {
-			continue
-		}
-		inboxes[m.to] = append(inboxes[m.to], deliverEntry{from: m.from, frame: m.frame})
-	}
+// deliver writes every active node's DELIVER; a failed write is handled
+// under the resume and failure policies.
+func (c *Coordinator) deliver(conns []*nodeConn, round int) error {
 	for id := 0; id < c.n; id++ {
 		if !c.active[id] {
 			continue
 		}
-		body := deliverBody(inboxes[id])
-		// Record before writing so a failed write can be replayed to a
-		// resuming node.
-		c.lastDeliverRound[id] = round
-		c.lastDeliverBody[id] = body
 		nc := conns[id]
 		nc.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout))
-		if err := writeFrame(nc.w, body); err != nil {
-			if c.opts.ReconnectGrace > 0 {
-				if nc2 := c.awaitResume(conns, id, round); nc2 != nil {
-					// The adopt handshake replayed this DELIVER (or the
-					// node already had it); the node is back in step.
-					_ = nc2
-					continue
-				}
+		if err := writeFrame(nc.w, c.lastDeliverBody[id]); err != nil {
+			if c.opts.ReconnectGrace > 0 && c.awaitResume(conns, id, round) != nil {
+				// The adopt handshake replayed this DELIVER (or the node
+				// already had it); the node is back in step.
+				continue
 			}
 			if ferr := c.fail(conns, id, round, fmt.Errorf("transport: deliver to %d: %w", id, err)); ferr != nil {
 				return ferr
@@ -818,7 +739,7 @@ func (c *Coordinator) communicate(conns []*nodeConn, round int, outbox []outMsg)
 func (c *Coordinator) result() *CoordinatorResult {
 	return &CoordinatorResult{
 		Decisions: append([]int(nil), c.decisions...),
-		Corrupted: append([]bool(nil), c.corrupted...),
+		Corrupted: c.phase.Legality().Mask(),
 		Crashed:   append([]bool(nil), c.crashed...),
 		Outcomes:  append([]sim.Outcome(nil), c.outcomes...),
 		Failures:  append([]sim.FailureEvent(nil), c.failures...),

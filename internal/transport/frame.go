@@ -5,11 +5,12 @@
 // processes implement sim.Env over the socket, so every protocol in this
 // repository runs unchanged on the network.
 //
-// The coordinator plays the role the lockstep engine plays in-memory; it
-// sees message metadata (sender, receiver, size) but not process states,
-// so full-information strategies (split-vote, coin-hider) degrade to their
-// stateless behaviour while structural strategies (static-crash,
-// group-killer, eclipse, random-omission) work exactly as in simulation.
+// The coordinator plays the role the lockstep engine plays in-memory and
+// runs the engine's own communication phase (sim.CommPhase) each round. It
+// sees messages and terminations but not inputs, snapshots or randomness,
+// so strategies reading those (split-vote, coin-hider) act without them,
+// while structural strategies (static-crash, group-killer, eclipse,
+// random-omission) work exactly as in simulation.
 //
 // Stream format: every frame is [length uvarint][body]; bodies begin with
 // a frame type byte. Payloads travel as registry frames (wire.EncodeFrame)
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 
+	"omicon/internal/sim"
 	"omicon/internal/wire"
 )
 
@@ -144,18 +146,14 @@ func doneBody(decision int) []byte {
 	return wire.AppendUvarint(body, uint64(decision+1))
 }
 
-// deliverBody encodes DELIVER{count, (from, frame)...}.
-func deliverBody(entries []deliverEntry) []byte {
-	body := []byte{frameDeliver}
-	body = wire.AppendUvarint(body, uint64(len(entries)))
-	for _, e := range entries {
-		body = wire.AppendUvarint(body, uint64(e.from))
-		body = wire.AppendBytes(body, e.frame)
+// appendDeliver appends DELIVER{count, (from, frame)...} for a carved
+// inbox, whose payloads are the raw frames of the senders' batches.
+func appendDeliver(body []byte, inbox []sim.Message) []byte {
+	body = append(body, frameDeliver)
+	body = wire.AppendUvarint(body, uint64(len(inbox)))
+	for _, m := range inbox {
+		body = wire.AppendUvarint(body, uint64(m.From))
+		body = wire.AppendBytes(body, m.Payload.(rawPayload))
 	}
 	return body
-}
-
-type deliverEntry struct {
-	from  int
-	frame []byte
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"net"
+	"regexp"
 	"sync"
 	"testing"
 
@@ -167,16 +169,61 @@ func TestNetworkMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestIllegalAdversaryRejectedOnWire: the coordinator enforces the same
-// legality rules as the engine.
+// TestIllegalAdversaryRejectedOnWire: the coordinator judges adversary
+// actions with the simulator's own Legality, so an illegal action aborts a
+// TCP run with the error sim.Run reports for the same protocol, inputs and
+// adversary. Only an omission's "(N bits)" figure may differ: a message
+// costs one wire-kind byte more on the network.
 func TestIllegalAdversaryRejectedOnWire(t *testing.T) {
-	n := 4
+	const n = 4
+	inputs := mixed(n, 2)
+	proto := func(env sim.Env, input int) (int, error) { return phaseking.Consensus(env, input) }
+	bitCount := regexp.MustCompile(`\(\d+ bits\)`)
+	for _, tc := range []struct {
+		name     string
+		tf       int
+		act      sim.Action
+		sentinel error // non-nil: errors.Is, and the text up to the bit count
+	}{
+		{"drop-out-of-range", 1, sim.Action{Drop: []int{1 << 20}}, nil},
+		{"corrupt-out-of-range", 1, sim.Action{Corrupt: []int{n}}, nil},
+		{"over-budget", 0, sim.Action{Corrupt: []int{0}}, nil},
+		{"honest-drop", 1, sim.Action{Drop: []int{0}}, sim.ErrIllegalOmission},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			adv := fixedAdversary{tc.act}
+			_, want := sim.Run(sim.Config{N: n, T: tc.tf, Inputs: inputs, Seed: 1, Adversary: adv}, proto)
+			if want == nil {
+				t.Fatal("sim.Run accepted the illegal action")
+			}
+			got := runIllegal(t, n, tc.tf, inputs, adv, proto)
+			if got == nil {
+				t.Fatal("illegal adversary must abort the coordinator")
+			}
+			g, w := got.Error(), want.Error()
+			if tc.sentinel != nil {
+				if !errors.Is(got, tc.sentinel) {
+					t.Fatalf("TCP error %q does not wrap %v", g, tc.sentinel)
+				}
+				g, w = bitCount.ReplaceAllString(g, "(N bits)"), bitCount.ReplaceAllString(w, "(N bits)")
+			}
+			if g != w {
+				t.Fatalf("TCP error %q, sim.Run error %q", got, want)
+			}
+		})
+	}
+}
+
+// runIllegal runs proto over TCP against an adversary the coordinator
+// rejects and returns the coordinator's error; the nodes abort with it.
+func runIllegal(t *testing.T, n, tf int, inputs []int, adv sim.Adversary, proto sim.Protocol) error {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	coord := NewCoordinator(n, 0, illegalAdversary{}, 16)
+	coord := NewCoordinator(n, tf, adv, 16)
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := coord.Serve(ln)
@@ -188,29 +235,50 @@ func TestIllegalAdversaryRejectedOnWire(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			node, err := Dial(ln.Addr().String(), id, n, 0, reg, 1)
+			node, err := Dial(ln.Addr().String(), id, n, tf, reg, 1)
 			if err != nil {
 				return
 			}
 			defer node.Close()
-			proto := func(env sim.Env, input int) (int, error) {
-				return phaseking.Consensus(env, input)
-			}
-			node.RunProtocol(proto, 0) // will abort when the coordinator dies
+			node.RunProtocol(proto, inputs[id]) // aborts when the coordinator dies
 		}(id)
 	}
-	if err := <-errCh; err == nil {
-		t.Fatal("illegal adversary must abort the coordinator")
-	}
+	err = <-errCh
 	wg.Wait()
+	return err
 }
 
-type illegalAdversary struct{}
+// fixedAdversary takes the same action every round.
+type fixedAdversary struct{ act sim.Action }
 
-func (illegalAdversary) Name() string { return "illegal" }
-func (illegalAdversary) Step(v *sim.View) sim.Action {
-	if len(v.Outbox) > 0 {
-		return sim.Action{Drop: []int{0}} // no corrupted endpoint: illegal
-	}
+func (fixedAdversary) Name() string                { return "fixed" }
+func (a fixedAdversary) Step(*sim.View) sim.Action { return a.act }
+
+// inputsProbe counts its steps and records whether any View carried inputs.
+type inputsProbe struct {
+	steps     int
+	sawInputs bool
+}
+
+func (*inputsProbe) Name() string { return "inputs-probe" }
+func (a *inputsProbe) Step(v *sim.View) sim.Action {
+	a.steps++
+	a.sawInputs = a.sawInputs || v.Inputs != nil
 	return sim.Action{}
+}
+
+// TestViewOverTCPHasNoInputs: inputs are node-local, like snapshots and
+// randomness, so the coordinator's View must leave them nil rather than
+// hand the adversary made-up ones.
+func TestViewOverTCPHasNoInputs(t *testing.T) {
+	const n = 4
+	probe := &inputsProbe{}
+	proto := func(env sim.Env, input int) (int, error) { return phaseking.Consensus(env, input) }
+	runNetworked(t, n, 1, mixed(n, 2), probe, proto, 64)
+	if probe.steps == 0 {
+		t.Fatal("the adversary was never consulted")
+	}
+	if probe.sawInputs {
+		t.Fatal("a TCP View carried inputs")
+	}
 }
