@@ -36,6 +36,7 @@ func TestCommandSmoke(t *testing.T) {
 		exit   int // expected exit status
 	}{
 		{"omicon", []string{"-n", "36", "-t", "1", "-algo", "optimal", "-adversary", "split-vote", "-record", transcript, "-trace", traceFile}, "decision", 0},
+		{"omicon", []string{"-n", "64", "-t", "1", "-algo", "param", "-adversary", "random-omission", "-seed", "1"}, "decision", 0},
 		{"replay", []string{transcript}, "activity phases", 0},
 		{"replay", []string{"-verify", transcript}, "verify: OK", 0},
 		{"replay", []string{"-verify", "-shards", "4", transcript}, "verify: OK", 0},

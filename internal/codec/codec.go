@@ -12,7 +12,6 @@ import (
 	"omicon/internal/dolevstrong"
 	"omicon/internal/earlystop"
 	"omicon/internal/floodset"
-	"omicon/internal/gossip"
 	"omicon/internal/multivalue"
 	"omicon/internal/paramomissions"
 	"omicon/internal/phaseking"
@@ -29,7 +28,6 @@ func FullRegistry() *wire.Registry {
 	floodset.RegisterPayloads(r)
 	paramomissions.RegisterPayloads(r)
 	multivalue.RegisterPayloads(r)
-	gossip.RegisterPayloads(r)
 	committee.RegisterPayloads(r)
 	earlystop.RegisterPayloads(r)
 	dolevstrong.RegisterPayloads(r)

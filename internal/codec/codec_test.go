@@ -11,7 +11,6 @@ import (
 	"omicon/internal/dolevstrong"
 	"omicon/internal/earlystop"
 	"omicon/internal/floodset"
-	"omicon/internal/gossip"
 	"omicon/internal/multivalue"
 	"omicon/internal/paramomissions"
 	"omicon/internal/phaseking"
@@ -44,8 +43,6 @@ func TestEveryPayloadRoundTrips(t *testing.T) {
 		multivalue.RecoverMsg{Value: nil},
 		multivalue.InputMsg{Value: []byte("input")},
 		multivalue.EchoMsg{Value: []byte("echo")},
-		gossip.Msg{Items: []gossip.Item{{Source: 1, Value: []byte("v")}, {Source: 9, Value: nil}}},
-		gossip.Msg{},
 		committee.InputMsg{B: 1},
 		committee.VoteMsg{B: 0},
 		committee.DecisionMsg{B: 1},
@@ -104,18 +101,6 @@ func equalPayload(a, b wire.Typed) bool {
 		}
 		for i := range av.Entries {
 			if av.Entries[i] != bv.Entries[i] {
-				return false
-			}
-		}
-		return true
-	case gossip.Msg:
-		bv, ok := b.(gossip.Msg)
-		if !ok || len(av.Items) != len(bv.Items) {
-			return false
-		}
-		for i := range av.Items {
-			if av.Items[i].Source != bv.Items[i].Source ||
-				string(av.Items[i].Value) != string(bv.Items[i].Value) {
 				return false
 			}
 		}

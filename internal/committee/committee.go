@@ -18,6 +18,7 @@ package committee
 import (
 	"sort"
 
+	"omicon/internal/core"
 	"omicon/internal/rng"
 	"omicon/internal/sim"
 	"omicon/internal/wire"
@@ -168,14 +169,11 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 				}
 			}
 		}
-		total := ones + zeros
-		switch {
-		case 30*ones > 18*total:
-			b = 1
-		case 30*ones < 15*total:
-			b = 0
-		default:
+		// Own vote included, so the tally is never empty.
+		if act := core.VoteUpdate(ones, zeros); act.Coin {
 			b = env.Rand().Bit()
+		} else {
+			b = act.B
 		}
 	}
 

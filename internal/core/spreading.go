@@ -5,38 +5,27 @@ import (
 	"omicon/internal/sim"
 )
 
-// linkState is the cross-epoch gossip bookkeeping of Algorithm 3: the
-// neighbor set V_p in the Theorem-4 graph and the permanently disregarded
-// links ("refutes to accept messages from them in any future round of the
-// algorithm GroupBitsSpreading"). It also owns the per-epoch gossip
-// scratch, packed as bit-vectors and reused across epochs so that a
-// steady-state gossip round's only allocations are the round's one
-// exact-fit payload slice and its boxing (payloads are immutable once
+// linkState is Algorithm 3's state across epochs: the process's links in
+// the operative flood, whose disregards persist, and the per-epoch
+// deduplication scratch, packed as bit-vectors and reused across epochs so
+// that a steady-state spreading round's only allocations are the round's
+// one exact-fit payload slice and its boxing (payloads are immutable once
 // sent, per the Exchange contract, so they cannot be pooled).
 type linkState struct {
-	neighbors   []int
-	disregarded *bitset.Set // pids whose links are permanently cut
+	links Links
 
 	// Per-epoch scratch, cleared at the top of groupBitsSpreading.
-	present *bitset.Set   // groups whose counts are known this epoch
-	entries []GroupCount  // entries[g] valid iff present.Contains(g)
-	sent    *bitset.Set   // groups already gossiped, the same on every live link
-	heard   *bitset.Set   // pids heard this round
-	live    []int         // reused: this round's non-disregarded neighbors
-	out     []sim.Message // reused outbox (backing reusable after Exchange)
+	present *bitset.Set  // groups whose counts are known this epoch
+	entries []GroupCount // entries[g] valid iff present.Contains(g)
+	sent    *bitset.Set  // groups already gossiped, the same on every live link
 }
 
 func newLinkState(p Params, id int) *linkState {
-	neighbors := p.Graph.Neighbors(id)
 	return &linkState{
-		neighbors:   neighbors,
-		disregarded: bitset.New(p.N),
-		present:     bitset.New(p.Decomp.NumGroups()),
-		entries:     make([]GroupCount, p.Decomp.NumGroups()),
-		sent:        bitset.New(p.Decomp.NumGroups()),
-		heard:       bitset.New(p.N),
-		live:        make([]int, 0, len(neighbors)),
-		out:         make([]sim.Message, 0, len(neighbors)),
+		links:   NewLinks(p.Graph, id),
+		present: bitset.New(p.Decomp.NumGroups()),
+		entries: make([]GroupCount, p.Decomp.NumGroups()),
+		sent:    bitset.New(p.Decomp.NumGroups()),
 	}
 }
 
@@ -47,7 +36,6 @@ func newLinkState(p Params, id int) *linkState {
 // and idles through the remaining rounds (staying in lockstep). It returns
 // the summed ones/zeros across all known groups and the operative status.
 func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZeros int) (ones, zeros int, operative bool) {
-	id := env.ID()
 	numGroups := p.Decomp.NumGroups()
 
 	present := ls.present
@@ -64,18 +52,17 @@ func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZ
 	sent := ls.sent
 	sent.Clear()
 
+	take := func(sm SpreadMsg) {
+		for _, e := range sm.Entries {
+			if e.Group < 0 || e.Group >= numGroups || present.Contains(e.Group) {
+				continue
+			}
+			present.Add(e.Group)
+			ls.entries[e.Group] = e
+		}
+	}
 	operative = true
 	for r := 0; r < p.GossipRounds; r++ {
-		if !operative {
-			env.Exchange(nil)
-			continue
-		}
-		live := ls.live[:0]
-		for _, q := range ls.neighbors {
-			if !ls.disregarded.Contains(q) {
-				live = append(live, q)
-			}
-		}
 		// fresh = present \ sent (all of present under NoGossipDedup); the
 		// popcount sizes the payload exactly before a single
 		// ascending-order fill.
@@ -96,37 +83,10 @@ func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZ
 		}
 		// An empty SpreadMsg is the heartbeat the disregard rule needs:
 		// silence means omission, not idleness.
-		out := sim.AppendBroadcast(ls.out[:0], id, SpreadMsg{Entries: fresh}, live)
-		ls.out = out // keep the grown capacity
-		in := env.Exchange(out)
-
-		heard := ls.heard
-		heard.Clear()
-		for _, m := range in {
-			sm, ok := m.Payload.(SpreadMsg)
-			if !ok || ls.disregarded.Contains(m.From) {
-				continue
-			}
-			heard.Add(m.From)
-			for _, e := range sm.Entries {
-				if e.Group < 0 || e.Group >= numGroups || present.Contains(e.Group) {
-					continue
-				}
-				present.Add(e.Group)
-				ls.entries[e.Group] = e
-			}
-		}
-		// The received tally is a popcount: every neighbor sends at most
-		// one SpreadMsg per round, so distinct heard senders = messages
-		// received from non-disregarded neighbors.
-		received := heard.Count()
-		for _, q := range ls.neighbors {
-			if !ls.disregarded.Contains(q) && !heard.Contains(q) {
-				ls.disregarded.Add(q)
-			}
-		}
-		if received < p.OperativeThreshold {
+		if !FloodRound(env, &ls.links, SpreadMsg{Entries: fresh}, p.OperativeThreshold, take) {
 			operative = false
+			sim.Idle(env, p.GossipRounds-r-1)
+			break
 		}
 	}
 

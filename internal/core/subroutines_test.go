@@ -122,10 +122,12 @@ func TestSpreadingFaultFreeAllGroupsKnown(t *testing.T) {
 	}
 }
 
-// TestSpreadingSurvivesCrashes: with a small crashed set, operative
-// survivors must still agree on the counts of every group that retains an
-// operative member (Lemma 8), and the operative count must respect the
-// n - 3t floor of Lemma 7.
+// TestSpreadingSurvivesCrashes checks the Lemma 6/8 property of the
+// operative flood, under crashes and under links cut at random in
+// different rounds: every process that stays operative learns the counts
+// of every group that keeps an operative member, and at least n-3t
+// processes stay operative. Group g's ones count is 1<<g, so a process's
+// summed ones name the groups it learned.
 func TestSpreadingSurvivesCrashes(t *testing.T) {
 	p, err := Prepare(96, 3)
 	if err != nil {
@@ -135,38 +137,41 @@ func TestSpreadingSurvivesCrashes(t *testing.T) {
 	groupOnes := make([]int, g)
 	groupZeros := make([]int, g)
 	for i := 0; i < g; i++ {
-		groupOnes[i] = 1
+		groupOnes[i] = 1 << i
 		groupZeros[i] = 1
 	}
-	crashed := []int{0, 17, 55}
-	rep, err := RunSpreadingExperiment(p, groupOnes, groupZeros, adversary.NewStaticCrash(crashed), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	operative := 0
-	for q := 0; q < p.N; q++ {
-		if rep.Operative[q] {
-			operative++
-		}
-	}
-	if operative < p.N-3*len(crashed) {
-		t.Fatalf("operative %d < n-3t = %d (Lemma 7 analogue)", operative, p.N-3*len(crashed))
-	}
-	// All operative processes must have learned all groups: each group
-	// here retains operative members, and counts are uniform per group,
-	// so sums must agree exactly.
-	want := -1
-	for q := 0; q < p.N; q++ {
-		if !rep.Operative[q] {
-			continue
-		}
-		got := rep.Ones[q] + rep.Zeros[q]
-		if want < 0 {
-			want = got
-		}
-		if got != want || got != 2*g {
-			t.Fatalf("process %d knows %d counts, want %d", q, got, 2*g)
-		}
+	for _, tc := range []struct {
+		name string
+		t    int
+		adv  sim.Adversary
+	}{
+		{"static-crash", 3, adversary.NewStaticCrash([]int{0, 17, 55})},
+		{"random-omission", 8, adversary.NewRandomOmission(8, 0.3, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunSpreadingExperiment(p, groupOnes, groupZeros, tc.adv, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			operative, sources := 0, 0
+			for q := 0; q < p.N; q++ {
+				if rep.Operative[q] {
+					operative++
+					sources |= 1 << p.Decomp.GroupOf(q)
+				}
+			}
+			if operative < p.N-3*tc.t {
+				t.Fatalf("operative %d < n-3t = %d (Lemma 7 analogue)", operative, p.N-3*tc.t)
+			}
+			if sources != 1<<g-1 {
+				t.Fatalf("groups %b keep no operative member; the row checks nothing for them", 1<<g-1&^sources)
+			}
+			for q := 0; q < p.N; q++ {
+				if rep.Operative[q] && (rep.Ones[q] != sources || rep.Zeros[q] != g) {
+					t.Fatalf("operative %d learned groups %b (%d zeros), want %b (%d)", q, rep.Ones[q], rep.Zeros[q], sources, g)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"omicon/internal/core"
 	"omicon/internal/rng"
 	"omicon/internal/sim"
 	"omicon/internal/wire"
@@ -80,7 +81,7 @@ func floodStages(p Params, ref bool, traces []floodTrace) sim.Protocol {
 		tr := &traces[id]
 		tr.disregarded = make([]bool, p.N)
 
-		ls := newLinkState(p, id)
+		links := core.NewLinks(p.Graph, id)
 		refDisregarded := make(map[int]bool)
 		b := input
 		for phase := 0; phase < p.X; phase++ {
@@ -90,9 +91,9 @@ func floodStages(p Params, ref bool, traces []floodTrace) sim.Protocol {
 			}
 			var operative bool
 			if ref {
-				hasValue, value, operative = floodRef(env, p, ls.neighbors, refDisregarded, hasValue, value)
+				hasValue, value, operative = floodRef(env, p, p.Graph.Neighbors(id), refDisregarded, hasValue, value)
 			} else {
-				hasValue, value, operative = flood(env, p, ls, hasValue, value)
+				hasValue, value, operative = flood(env, p, &links, hasValue, value)
 			}
 			if hasValue {
 				b = value
@@ -103,7 +104,7 @@ func floodStages(p Params, ref bool, traces []floodTrace) sim.Protocol {
 			if ref {
 				tr.disregarded[q] = refDisregarded[q]
 			} else {
-				tr.disregarded[q] = ls.disregarded.Contains(q)
+				tr.disregarded[q] = links.Disregards(q)
 			}
 		}
 		return b, nil

@@ -3,34 +3,9 @@ package paramomissions
 import (
 	"fmt"
 
-	"omicon/internal/bitset"
 	"omicon/internal/core"
 	"omicon/internal/sim"
 )
-
-// linkState is the flooding bookkeeping one process keeps for a whole
-// Consensus call: its neighbors in the Theorem-4 graph, the links it has
-// permanently disregarded, and the per-round scratch, reused across rounds
-// and flooding stages so that a steady-state flood round allocates only the
-// boxing of its one payload.
-type linkState struct {
-	neighbors   []int
-	disregarded *bitset.Set   // persistent across flooding stages
-	heard       *bitset.Set   // pids heard this round
-	live        []int         // reused: this round's non-disregarded neighbors
-	out         []sim.Message // reused outbox, one slot per neighbor (backing reusable after Exchange)
-}
-
-func newLinkState(p Params, id int) *linkState {
-	neighbors := p.Graph.Neighbors(id)
-	return &linkState{
-		neighbors:   neighbors,
-		disregarded: bitset.New(p.N),
-		heard:       bitset.New(p.N),
-		live:        make([]int, 0, len(neighbors)),
-		out:         make([]sim.Message, 0, len(neighbors)),
-	}
-}
 
 // Consensus is ParamOmissions (Algorithm 4): the process's code for one
 // consensus instance under parameters p.
@@ -43,7 +18,7 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 
 	b := input
 	operative := true
-	ls := newLinkState(p, id)
+	links := core.NewLinks(p.Graph, id)
 
 	// Round-robin stage (lines 4-14).
 	for phase := 0; phase < p.X; phase++ {
@@ -83,7 +58,7 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 		}
 
 		// Lines 9-12: flood the decision along the graph.
-		hasValue, value, operative = flood(env, p, ls, hasValue, value)
+		hasValue, value, operative = flood(env, p, &links, hasValue, value)
 
 		// Line 13: adopt the propagated decision as the next input.
 		if hasValue {
@@ -119,71 +94,36 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 				zeros++
 			}
 		}
-		total := ones + zeros
-		switch {
-		case 30*ones > 18*total:
-			b = 1
-		case 30*ones < 15*total:
-			b = 0
+		// Own vote included, so the tally is never empty.
+		act := core.VoteUpdate(ones, zeros)
+		if !act.Coin {
+			b = act.B
 		}
-		if 30*ones > 27*total || 30*ones < 3*total {
-			decided = true
-		}
+		decided = act.Decide
 	}
 
 	// Lines 24-30: identical to Algorithm 1's finish stage.
 	return core.Finish(env, p.N, p.FallbackPhases, core.FallbackPhaseKing, b, decided, operative)
 }
 
-// flood implements the 2 log n gossip of lines 9-12: operative processes
-// repeatedly send their (possibly absent) propagated decision to
-// non-disregarded neighbors, disregard silent links, and become inoperative
-// below the Δ/3 threshold. Every live neighbor gets the same payload in a
-// round, and neighbors are ascending, so a round is one broadcast.
-func flood(env sim.Env, p Params, ls *linkState, hasValue bool, value int) (bool, int, bool) {
-	id := env.ID()
-	operative := true
-	for r := 0; r < p.FloodRounds; r++ {
-		live := ls.live[:0]
-		for _, q := range ls.neighbors {
-			if !ls.disregarded.Contains(q) {
-				live = append(live, q)
-			}
-		}
-		var out []sim.Message // nil when every link is cut: an idle round
-		if len(live) > 0 {
-			out = sim.AppendBroadcast(ls.out[:0], id, FloodMsg{Has: hasValue, B: value}, live)
-		}
-		in := env.Exchange(out)
-
-		heard := ls.heard
-		heard.Clear()
-		received := 0
-		for _, m := range in {
-			fm, ok := m.Payload.(FloodMsg)
-			if !ok || ls.disregarded.Contains(m.From) {
-				continue
-			}
-			heard.Add(m.From)
-			received++
-			if fm.Has && !hasValue {
-				hasValue, value = true, fm.B
-			}
-		}
-		for _, q := range live {
-			if !heard.Contains(q) {
-				ls.disregarded.Add(q)
-			}
-		}
-		if received < p.OperativeThreshold {
-			// Inoperative: idle out the remaining flood rounds so
-			// the caller stays in lockstep.
-			operative = false
-			sim.Idle(env, p.FloodRounds-r-1)
-			break
+// flood implements the 2 log n gossip of lines 9-12 on the operative flood
+// shared with Algorithm 3: operative processes repeatedly send their
+// (possibly absent) propagated decision and adopt the first one they hear.
+// An inoperative process idles out the remaining flood rounds so the
+// caller stays in lockstep.
+func flood(env sim.Env, p Params, links *core.Links, hasValue bool, value int) (bool, int, bool) {
+	take := func(fm FloodMsg) {
+		if fm.Has && !hasValue {
+			hasValue, value = true, fm.B
 		}
 	}
-	return hasValue, value, operative
+	for r := 0; r < p.FloodRounds; r++ {
+		if !core.FloodRound(env, links, FloodMsg{Has: hasValue, B: value}, p.OperativeThreshold, take) {
+			sim.Idle(env, p.FloodRounds-r-1)
+			return hasValue, value, false
+		}
+	}
+	return hasValue, value, true
 }
 
 func others(n, self int) []int {

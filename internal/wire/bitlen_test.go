@@ -11,7 +11,6 @@ import (
 	"omicon/internal/dolevstrong"
 	"omicon/internal/earlystop"
 	"omicon/internal/floodset"
-	"omicon/internal/gossip"
 	"omicon/internal/multivalue"
 	"omicon/internal/paramomissions"
 	"omicon/internal/phaseking"
@@ -59,7 +58,6 @@ func payloadTable() []wire.Marshaler {
 		benor.ValueMsg{B: 2, Decided: true}, benor.ValueMsg{},
 		paramomissions.FloodMsg{Has: true, B: 1}, paramomissions.FloodMsg{},
 		paramomissions.SafetyMsg{B: 1}, paramomissions.SafetyMsg{},
-		gossip.Msg{Items: []gossip.Item{{Source: 3, Value: []byte("abc")}, {Source: 900, Value: big[:130]}}}, gossip.Msg{},
 		committee.InputMsg{B: 1}, committee.InputMsg{},
 		committee.VoteMsg{B: 1}, committee.VoteMsg{},
 		committee.DecisionMsg{B: 1}, committee.DecisionMsg{},
