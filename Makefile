@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check soak vet loc torture tournament tournament-smoke fuzz bench bench-json benchcheck chaos-smoke distrib-smoke
+.PHONY: build test check soak vet loc torture tournament tournament-smoke fuzz bench chaos-smoke distrib-smoke
 
 build:
 	$(GO) build ./...
@@ -21,15 +21,18 @@ loc:
 
 # check is the pre-merge gate: gofmt (any file it lists fails the gate),
 # vet, the full suite under the race detector (transport reconnect/resume
-# and the chaos soak are concurrent by construction), the unit tests of the
-# benchmark (a module of its own, which ./... does not reach), then a
-# deterministic torture smoke across the protocol x adversary matrix. Uses
-# -short to keep the soak at its fast schedule count; run `make soak` for the
-# full chaos sweep and `make torture` for a longer campaign.
+# and the chaos soak are concurrent by construction), the allocation tests
+# without it (they are //go:build !race: the detector allocates on its own
+# behalf), the unit tests of the benchmark (a module of its own, which
+# ./... does not reach), then a deterministic torture smoke across the
+# protocol x adversary matrix. Uses -short to keep the soak at its fast
+# schedule count; run `make soak` for the full chaos sweep and `make
+# torture` for a longer campaign.
 check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+	$(GO) test -short -count=1 -run Alloc ./internal/...
 	$(GO) test -C benchmark ./...
 	$(GO) run -race ./cmd/torture -trials 50 -seed 1 -q
 
@@ -58,18 +61,11 @@ tournament-smoke:
 		-workers 2 -status-addr 127.0.0.1:0 -out .tournament-smoke
 
 # bench runs the engine hot-path benchmarks interactively; pipe two runs
-# through benchstat to compare. bench-json refreshes the committed
-# baseline (BENCH_engine.json) with cmd/bench, and benchcheck verifies a
-# fresh measurement against it — the same comparison CI performs.
+# through benchstat to compare. The committed timings live in benchmark/
+# (BENCHMARK.json); allocations per round are pinned by the Alloc tests
+# that `make check` runs.
 bench:
 	$(GO) test ./internal/sim/ -run '^$$' -bench 'EngineRound' -benchtime=100x -count=3
-
-bench-json:
-	$(GO) run ./cmd/bench -out BENCH_engine.json
-
-benchcheck:
-	$(GO) run ./cmd/bench -out bench-fresh.json
-	$(GO) run ./cmd/benchcheck -baseline BENCH_engine.json -fresh bench-fresh.json
 
 # fuzz runs every native fuzz target for a bounded stretch: mutated
 # schedules through the replay adversary (engine must never panic, oracle

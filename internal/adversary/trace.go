@@ -9,7 +9,7 @@ import (
 
 // Traced decorates any strategy with a per-round execution log: candidate-
 // value counts among live processes, decided counts, corruptions and drops.
-// It is the observability hook behind `cmd/omicon -trace` and renders the
+// It is the observability hook behind `cmd/omicon -advtrace` and renders the
 // dynamics of Figure 3 (counts wandering through the threshold zones) as
 // text.
 type Traced struct {

@@ -221,9 +221,28 @@ func (s Snapshot) Verbose() string {
 		s.Rounds, s.Messages, s.CommBits, s.RandomBits, s.RandomCalls, s.Crashes, s.Retries)
 }
 
-// errMismatch formats a reconciliation failure between a summed time
-// series and a final aggregate snapshot.
-func errMismatch(got, want Snapshot) error {
-	return fmt.Errorf("metrics: series sums to [%s] but the aggregate snapshot is [%s]",
-		got.Verbose(), want.Verbose())
+// Delta is a cost increment attributed to one (round, span) cell of a
+// traced execution: the payload of one trace span-delta event. Unlike
+// Snapshot it carries no round count — the boundary event that follows
+// owns the round.
+type Delta struct {
+	Messages    int64 `json:"messages,omitempty"`
+	CommBits    int64 `json:"commBits,omitempty"`
+	RandomBits  int64 `json:"randomBits,omitempty"`
+	RandomCalls int64 `json:"randomCalls,omitempty"`
+	Drops       int64 `json:"drops,omitempty"`
 }
+
+// Add returns the component-wise sum.
+func (d Delta) Add(o Delta) Delta {
+	return Delta{
+		Messages:    d.Messages + o.Messages,
+		CommBits:    d.CommBits + o.CommBits,
+		RandomBits:  d.RandomBits + o.RandomBits,
+		RandomCalls: d.RandomCalls + o.RandomCalls,
+		Drops:       d.Drops + o.Drops,
+	}
+}
+
+// IsZero reports whether every component is zero.
+func (d Delta) IsZero() bool { return d == Delta{} }

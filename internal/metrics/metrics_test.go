@@ -100,6 +100,92 @@ func TestSnapshotCheck(t *testing.T) {
 	}
 }
 
+func TestDeltaAddIsZero(t *testing.T) {
+	a := Delta{Messages: 1, CommBits: 2}
+	b := Delta{CommBits: 3, Drops: 4}
+	if got := a.Add(b); got != (Delta{Messages: 1, CommBits: 5, Drops: 4}) {
+		t.Fatalf("Add = %+v", got)
+	}
+	if !(Delta{}).IsZero() || a.IsZero() {
+		t.Fatal("IsZero wrong")
+	}
+}
+
+// TestSnapshotQuiesced pins the documented contract of Counters.Snapshot:
+// once every updating goroutine has returned and the reader has
+// synchronized with them, the snapshot is exact (and the concurrent calls
+// made while they ran were race-free, which the race detector checks).
+func TestSnapshotQuiesced(t *testing.T) {
+	var c Counters
+	const workers, each = 8, 1000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() { // concurrent monitoring reads are race-free (may be torn)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = c.Snapshot()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c.AddRounds(1)
+				c.AddMessage(8)
+				c.AddRandom(2)
+				c.AddCrash()
+				c.AddRetry()
+			}
+		}()
+	}
+	wg.Wait() // quiesce: happens-before edge from every worker
+	close(stop)
+	want := Snapshot{
+		Rounds: workers * each, Messages: workers * each,
+		CommBits: 8 * workers * each, RandomBits: 2 * workers * each,
+		RandomCalls: workers * each, Crashes: workers * each, Retries: workers * each,
+	}
+	if got := c.Snapshot(); got != want {
+		t.Fatalf("quiesced snapshot %+v, want %+v", got, want)
+	}
+}
+
+func TestEnvelopeCrashRetryBounds(t *testing.T) {
+	e := Envelope{MaxCrashes: 2, MaxRetries: 3}
+	if err := e.Check(Snapshot{Crashes: 2, Retries: 3}); err != nil {
+		t.Fatalf("at-bound snapshot must pass: %v", err)
+	}
+	if err := e.Check(Snapshot{Crashes: 3}); err == nil || !strings.Contains(err.Error(), "crashes") {
+		t.Fatalf("crashes over envelope must fail naming the counter: %v", err)
+	}
+	if err := e.Check(Snapshot{Retries: 4}); err == nil || !strings.Contains(err.Error(), "retries") {
+		t.Fatalf("retries over envelope must fail naming the counter: %v", err)
+	}
+	if err := (Envelope{}).Check(Snapshot{Crashes: 1 << 30, Retries: 1 << 30}); err != nil {
+		t.Fatalf("zero envelope leaves crashes/retries unbounded: %v", err)
+	}
+}
+
+func TestVerboseString(t *testing.T) {
+	s := Snapshot{Rounds: 1, Messages: 2, CommBits: 3, RandomBits: 4, RandomCalls: 4}
+	if str := s.String(); strings.Contains(str, "crashes") {
+		t.Fatalf("String() must omit zero crashes: %q", str)
+	}
+	v := s.Verbose()
+	if !strings.Contains(v, "crashes=0") || !strings.Contains(v, "retries=0") {
+		t.Fatalf("Verbose() must always include crashes/retries: %q", v)
+	}
+	s.Crashes = 2
+	if !strings.Contains(s.String(), "crashes=2") {
+		t.Fatal("String() must include nonzero crashes")
+	}
+}
+
 func TestEnvelopeCheck(t *testing.T) {
 	e := Envelope{MaxRounds: 10, MaxCommBits: 100}
 	if err := e.Check(Snapshot{Rounds: 10, CommBits: 100, RandomBits: 1 << 40}); err != nil {

@@ -139,8 +139,8 @@ func (s *Source) account(bits int64) {
 // it at points where every source is quiescent — the engine barrier, a
 // transport node's post-run snapshot — so that c's randomness counters are
 // exact there. Between sync points the shared counters lag the per-source
-// truth; trace.Verify and metrics.Series.Reconcile prove the sums still
-// match exactly at every emission point.
+// truth; trace.Verify proves the sums still match exactly at every
+// emission point.
 func SyncTotals(c *metrics.Counters, sources ...*Source) {
 	calls, bits := Sum(sources...)
 	c.SetRandom(calls, bits)

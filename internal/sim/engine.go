@@ -30,8 +30,7 @@ type Config struct {
 	MaxRounds int
 	// Trace receives structured per-round events (round boundaries with
 	// cost deltas, span attribution, corruptions, decisions). A nil or
-	// disabled tracer keeps the engine on its untraced hot path; when
-	// enabled, the Result additionally carries the per-round Series.
+	// disabled tracer keeps the engine on its untraced hot path.
 	Trace *trace.Tracer
 	// Shards splits the processes into contiguous shards, each stepped by
 	// a worker goroutine of its own. 0 (the default) and 1 mean one shard:
@@ -126,7 +125,6 @@ func Run(cfg Config, proto Protocol) (*Result, error) {
 	res.Metrics = s.counters.Snapshot()
 	if s.obs != nil {
 		s.obs.finish(s.lastRound, res.Metrics)
-		res.Series = s.obs.series
 	}
 	if err != nil {
 		return res, err

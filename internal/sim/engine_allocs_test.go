@@ -71,8 +71,8 @@ func TestSetupAllocsPerProcess(t *testing.T) {
 }
 
 // sparseRunAllocs measures whole-run heap allocations for the sparse
-// workload of cmd/bench: every process resends a prebuilt ⌊√n⌋-target
-// outbox each round. Differencing two round counts isolates the
+// workload of BenchmarkEngineRoundSparse: every process resends a prebuilt
+// ⌊√n⌋-target outbox each round. Differencing two round counts isolates the
 // steady-state marginal cost of a round from the O(n) engine setup
 // (rng sources, per-process slices) that a whole-run count amortizes —
 // the very effect behind the historical n=4096 "allocation cliff", where

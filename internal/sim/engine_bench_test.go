@@ -1,25 +1,18 @@
 package sim
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 )
 
-// benchShards selects the shard count for the engine benchmarks, so CI can
-// run the same matrix with shard workers:
-//
-//	go test ./internal/sim/ -bench EngineRound -shards 4
-var benchShards = flag.Int("shards", 0, "shards for engine benchmarks (0 = one, stepped on the calling goroutine; -1 = one worker per GOMAXPROCS; k = k shard workers)")
-
 // benchRounds drives one Run of `rounds` all-to-all rounds under the given
 // adversary (nil selects the NoFaults fast path). Each process rebuilds its
 // broadcast every round, the shape real protocols have.
 func benchRounds(b *testing.B, n, rounds int, adv Adversary) *Result {
 	b.Helper()
-	res, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1, MaxRounds: rounds + 8, Adversary: adv, Shards: *benchShards},
+	res, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1, MaxRounds: rounds + 8, Adversary: adv},
 		func(env Env, input int) (int, error) {
 			targets := make([]int, 0, n-1)
 			for i := 0; i < n; i++ {
@@ -82,7 +75,7 @@ func BenchmarkEngineRoundOverhead(b *testing.B) {
 			b.Run(byN(n)+"/"+tc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				rounds := b.N
-				_, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1, MaxRounds: rounds + 8, Adversary: tc.adv, Shards: *benchShards},
+				_, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1, MaxRounds: rounds + 8, Adversary: tc.adv},
 					func(env Env, input int) (int, error) {
 						targets := make([]int, 0, n-1)
 						for i := 0; i < n; i++ {
@@ -108,9 +101,9 @@ func BenchmarkEngineRoundOverhead(b *testing.B) {
 // a prebuilt ⌊√n⌋-target outbox each round — the message density of a
 // Theorem-1 execution, where all-to-all traffic would make a memory
 // benchmark out of an engine one. The arena/zero-alloc work is aimed
-// squarely here; cmd/bench additionally records the steady-state marginal
-// cost of this workload (setup amortization removed) in the committed
-// baseline.
+// squarely here; TestSparseRoundAllocsFlatInN pins the steady-state
+// marginal allocations of this workload (setup amortization removed) at
+// zero.
 func BenchmarkEngineRoundSparse(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		n := n
@@ -118,7 +111,7 @@ func BenchmarkEngineRoundSparse(b *testing.B) {
 			b.ReportAllocs()
 			rounds := b.N
 			deg := int(math.Sqrt(float64(n)))
-			_, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1, MaxRounds: rounds + 8, Shards: *benchShards},
+			_, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1, MaxRounds: rounds + 8},
 				func(env Env, input int) (int, error) {
 					targets := make([]int, deg)
 					for j := range targets {

@@ -8,9 +8,10 @@ import (
 	"omicon/internal/trace"
 )
 
-// observer turns engine barriers into the per-round trace/metrics time
-// series. It is nil when the execution is untraced, so the hot path pays a
-// single nil check per barrier.
+// observer turns engine barriers into the per-round trace events: cost
+// deltas split across phase spans, round boundaries, decisions. It exists
+// only when the execution runs with an enabled tracer, so the untraced hot
+// path pays a single nil check per barrier.
 //
 // CONCURRENCY: the spans slice is written by processes (via Env.Span)
 // while their coroutine runs — on several shard workers at once when
@@ -28,7 +29,6 @@ import (
 // runs, shard counts and worker counts.
 type observer struct {
 	tr       *trace.Tracer
-	series   *metrics.Series
 	counters *metrics.Counters
 	sources  []*rng.Source
 
@@ -45,7 +45,6 @@ func newObserver(tr *trace.Tracer, counters *metrics.Counters, sources []*rng.So
 	n := len(sources)
 	o := &observer{
 		tr:        tr,
-		series:    metrics.NewSeries(),
 		counters:  counters,
 		sources:   sources,
 		spans:     make([]string, n),
@@ -88,9 +87,7 @@ func (o *observer) drain(pid int) {
 // touched only by pid itself mid-round and by the engine at barriers or
 // after pid returned — the drain/spans happens-before argument.
 func (o *observer) queue(pid int, e trace.Event) {
-	if o.tr.Enabled() {
-		o.queued[pid] = append(o.queued[pid], e)
-	}
+	o.queued[pid] = append(o.queued[pid], e)
 }
 
 // flush emits every queued event in process-id order. Called at barriers
@@ -133,32 +130,32 @@ func (o *observer) spanDeltas(spanMap map[string]metrics.Delta) {
 	}
 }
 
-// emitRecord appends rec to the series and emits its span-delta events (in
-// deterministic span order) followed by the boundary event of the given
-// kind.
-func (o *observer) emitRecord(kind trace.Kind, rec metrics.RoundRecord, drops int64) {
-	o.series.Append(rec)
-	if o.tr.Enabled() {
-		names := make([]string, 0, len(rec.Spans))
-		for name := range rec.Spans {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			d := rec.Spans[name]
-			o.tr.Emit(trace.Event{
-				Kind: trace.KindSpanDelta, Round: rec.Round, Proc: -1, Span: name,
-				Messages: d.Messages, CommBits: d.CommBits,
-				RandomBits: d.RandomBits, RandomCalls: d.RandomCalls, Drops: d.Drops,
-			})
-		}
+// emitBoundary closes one boundary: it emits the boundary's span-delta
+// events, in span-name order, followed by the boundary event of the given
+// kind carrying the round increment and cost delta since the previous
+// boundary, and advances lastSnap to snap.
+func (o *observer) emitBoundary(kind trace.Kind, round int, owner string, snap metrics.Snapshot, drops int64, spans map[string]metrics.Delta) {
+	names := make([]string, 0, len(spans))
+	for name := range spans {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		d := spans[name]
 		o.tr.Emit(trace.Event{
-			Kind: kind, Round: rec.Round, Proc: -1, Span: rec.Span,
-			Rounds: rec.Rounds, Messages: rec.Total.Messages, CommBits: rec.Total.CommBits,
-			RandomBits: rec.Total.RandomBits, RandomCalls: rec.Total.RandomCalls,
-			Drops: drops,
+			Kind: trace.KindSpanDelta, Round: round, Proc: -1, Span: name,
+			Messages: d.Messages, CommBits: d.CommBits,
+			RandomBits: d.RandomBits, RandomCalls: d.RandomCalls, Drops: d.Drops,
 		})
 	}
+	last := o.lastSnap
+	o.lastSnap = snap
+	o.tr.Emit(trace.Event{
+		Kind: kind, Round: round, Proc: -1, Span: owner,
+		Rounds: snap.Rounds - last.Rounds, Messages: snap.Messages - last.Messages,
+		CommBits: snap.CommBits - last.CommBits, RandomBits: snap.RandomBits - last.RandomBits,
+		RandomCalls: snap.RandomCalls - last.RandomCalls, Drops: drops,
+	})
 }
 
 // roundEnd closes one communication phase at the barrier: it computes the
@@ -185,21 +182,7 @@ func (o *observer) roundEnd(round int, outbox []Message, drops int64, submitted 
 			break
 		}
 	}
-	rec := metrics.RoundRecord{
-		Round:  round,
-		Rounds: snap.Rounds - o.lastSnap.Rounds,
-		Span:   owner,
-		Total: metrics.Delta{
-			Messages:    snap.Messages - o.lastSnap.Messages,
-			CommBits:    snap.CommBits - o.lastSnap.CommBits,
-			RandomBits:  snap.RandomBits - o.lastSnap.RandomBits,
-			RandomCalls: snap.RandomCalls - o.lastSnap.RandomCalls,
-			Drops:       drops,
-		},
-		Spans: spanMap,
-	}
-	o.lastSnap = snap
-	o.emitRecord(trace.KindRoundEnd, rec, drops)
+	o.emitBoundary(trace.KindRoundEnd, round, owner, snap, drops, spanMap)
 }
 
 // decide records a decision event for a terminating process. Queued rather
@@ -211,7 +194,7 @@ func (o *observer) decide(round, pid, decision int) {
 
 // finish folds everything accrued after the last barrier — randomness drawn
 // past the final exchange, or the cost of a round the engine aborted before
-// its barrier completed — into one post record, then closes the execution
+// its barrier completed — into one post boundary, then closes the execution
 // segment with the final snapshot. Randomness residuals are attributed to
 // each process's final span; message residuals (only present on aborted
 // rounds, whose outbox never reached a barrier) fall to SpanNone.
@@ -225,19 +208,6 @@ func (o *observer) finish(round int, final metrics.Snapshot) {
 		d.CommBits += db
 		spanMap[trace.SpanNone] = d
 	}
-	rec := metrics.RoundRecord{
-		Round:  round,
-		Rounds: final.Rounds - o.lastSnap.Rounds,
-		Span:   trace.SpanNone,
-		Total: metrics.Delta{
-			Messages:    final.Messages - o.lastSnap.Messages,
-			CommBits:    final.CommBits - o.lastSnap.CommBits,
-			RandomBits:  final.RandomBits - o.lastSnap.RandomBits,
-			RandomCalls: final.RandomCalls - o.lastSnap.RandomCalls,
-		},
-		Spans: spanMap,
-	}
-	o.lastSnap = final
-	o.emitRecord(trace.KindPost, rec, 0)
+	o.emitBoundary(trace.KindPost, round, trace.SpanNone, final, 0, spanMap)
 	o.tr.ExecEnd(final)
 }

@@ -21,10 +21,6 @@ type Result struct {
 	Corrupted []bool
 	// Metrics aggregates the three complexity measures of Section 2.
 	Metrics metrics.Snapshot
-	// Series is the per-round, per-span time series behind Metrics; it is
-	// populated only when the execution ran with an enabled tracer and
-	// reconciles exactly with Metrics (Series.Reconcile).
-	Series *metrics.Series
 
 	protocolErr error
 }

@@ -35,9 +35,9 @@ func echoProto(env Env, input int) (int, error) {
 	return 0, nil
 }
 
-// TestTracedRunReconciles pins the reconciliation contract at the engine level: a
-// traced execution yields a verifiable event stream and a Series that sums
-// exactly to the final snapshot.
+// TestTracedRunReconciles pins the reconciliation contract at the engine
+// level: a traced execution yields an event stream whose deltas sum
+// exactly to the result's final snapshot.
 func TestTracedRunReconciles(t *testing.T) {
 	ring := trace.NewRing(4096)
 	res, err := Run(Config{
@@ -47,12 +47,6 @@ func TestTracedRunReconciles(t *testing.T) {
 		Trace:  trace.New(ring),
 	}, echoProto)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Series == nil {
-		t.Fatal("traced run did not populate Result.Series")
-	}
-	if err := res.Series.Reconcile(res.Metrics); err != nil {
 		t.Fatal(err)
 	}
 	sums, err := trace.Verify(ring.Events())
@@ -69,15 +63,23 @@ func TestTracedRunReconciles(t *testing.T) {
 		t.Fatalf("expected span attribution for gossip and coin, got %d spans", sums[0].Spans)
 	}
 
-	// The per-span aggregates must show the protocol's structure: all
-	// messages in "gossip", all randomness in "coin".
+	// The span deltas must show the protocol's structure: all messages in
+	// "gossip", all randomness in "coin".
 	var gossipMsgs, coinBits int64
-	for _, s := range res.Series.Spans() {
-		switch s.Span {
-		case "gossip":
-			gossipMsgs = s.Messages
-		case "coin":
-			coinBits = s.RandomBits
+	var decides, roundEnds int
+	for _, e := range ring.Events() {
+		switch e.Kind {
+		case trace.KindSpanDelta:
+			switch e.Span {
+			case "gossip":
+				gossipMsgs += e.Messages
+			case "coin":
+				coinBits += e.RandomBits
+			}
+		case trace.KindDecide:
+			decides++
+		case trace.KindRoundEnd:
+			roundEnds++
 		}
 	}
 	if gossipMsgs != res.Metrics.Messages {
@@ -88,15 +90,6 @@ func TestTracedRunReconciles(t *testing.T) {
 	}
 
 	// Decisions and boundaries appear in the stream.
-	var decides, roundEnds int
-	for _, e := range ring.Events() {
-		switch e.Kind {
-		case trace.KindDecide:
-			decides++
-		case trace.KindRoundEnd:
-			roundEnds++
-		}
-	}
 	if decides != 8 {
 		t.Fatalf("got %d decide events, want 8", decides)
 	}
@@ -105,17 +98,25 @@ func TestTracedRunReconciles(t *testing.T) {
 	}
 }
 
-// TestUntracedRunHasNoSeries checks the no-op path: no tracer, no series,
-// and spans cost nothing.
-func TestUntracedRunHasNoSeries(t *testing.T) {
-	res, err := Run(Config{
-		N: 4, T: 1, Inputs: []int{1, 0, 1, 0}, Seed: 3,
-	}, echoProto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Series != nil {
-		t.Fatal("untraced run must not allocate a series")
+// TestUntracedRunHasNoObserver checks the no-op path: without an enabled
+// tracer no observer is built, so spans cost nothing.
+func TestUntracedRunHasNoObserver(t *testing.T) {
+	for _, tr := range []*trace.Tracer{nil, {}} { // nil, and one with no sink
+		observed := false
+		_, err := Run(Config{
+			N: 4, T: 1, Inputs: []int{1, 0, 1, 0}, Seed: 3, Trace: tr,
+		}, func(env Env, input int) (int, error) {
+			if env.(*procEnv).eng.obs != nil {
+				observed = true
+			}
+			return echoProto(env, input)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observed {
+			t.Fatal("untraced run must not build an observer")
+		}
 	}
 }
 

@@ -182,12 +182,12 @@ type Config struct {
 	MaxRounds int
 	// Trace, when non-nil, streams structured per-round events (round
 	// boundaries with cost deltas, phase spans, corruptions, decisions)
-	// to its sink and populates Result.Series; see docs/OBSERVABILITY.md.
+	// to its sink; see docs/OBSERVABILITY.md.
 	Trace *Tracer
-	// Shards selects the simulator execution mode: 0 runs a goroutine per
-	// process, -1 an auto-sized sharded worker pool, k > 0 exactly k shard
-	// workers. Results are byte-identical in every mode; see
-	// docs/PERFORMANCE.md.
+	// Shards splits the simulated processes into shards: 0 and 1 step every
+	// process on the caller's goroutine, -1 uses one shard worker per
+	// GOMAXPROCS, k >= 2 exactly k. Results are byte-identical at every
+	// count; see docs/PERFORMANCE.md.
 	Shards int
 	// PaperScale uses the paper's literal constants (Δ = 832 log n,
 	// 8 log n gossip rounds) instead of the simulation-scale defaults.

@@ -59,15 +59,6 @@ func TestTracedSolveReconciles(t *testing.T) {
 		t.Fatalf("trace has %d round-end events for %d rounds", sums[0].Rounds, res.Metrics.Rounds)
 	}
 
-	// The Result carries the same data as a per-round series that must
-	// reconcile against the aggregate snapshot.
-	if res.Series == nil {
-		t.Fatal("traced run did not populate Result.Series")
-	}
-	if err := res.Series.Reconcile(res.Metrics); err != nil {
-		t.Fatal(err)
-	}
-
 	// Algorithm 1's phase spans must be present and carry real cost: the
 	// gossip exchanges dominate communication, the coin flips own the
 	// randomness.
