@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check soak vet loc torture tournament tournament-smoke fuzz bench chaos-smoke distrib-smoke
+.PHONY: build test check soak vet loc torture tournament tournament-smoke fuzz bench bench-smoke chaos-smoke distrib-smoke
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,19 @@ tournament-smoke:
 # that `make check` runs.
 bench:
 	$(GO) test ./internal/sim/ -run '^$$' -bench 'EngineRound' -benchtime=100x -count=3
+
+# bench-smoke runs every benchmark workload briefly, untraced and traced,
+# and fails unless each run's last line reports "correct": true: the
+# benchmark's own checks (artifact digests, equal model costs on
+# re-execution, the decorated process Env of the traced pass) without its
+# timing. The workload list is BENCHMARK.json's.
+BENCH_WORKLOADS = thm1-n1024 thm1-n1024-sharded sweep-n256 torture-inproc torture-durable tournament-zoo
+bench-smoke:
+	@for w in $(BENCH_WORKLOADS); do for t in 0 1; do \
+		echo "bench-smoke: $$w trace=$$t"; \
+		last=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace $$t | tail -n 1); \
+		case "$$last" in '{"correct": true'*) ;; *) echo "$$last"; exit 1 ;; esac; \
+	done; done
 
 # fuzz runs every native fuzz target for a bounded stretch: mutated
 # schedules through the replay adversary (engine must never panic, oracle

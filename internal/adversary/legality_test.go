@@ -221,7 +221,8 @@ func TestOutOfRangePendingIdsAreHarmless(t *testing.T) {
 
 			_, err := sim.Run(sim.Config{N: n, T: budget, Inputs: make([]int, n), Seed: 1, Adversary: f.build([]int{-1, 1, n, 5})},
 				func(env sim.Env, _ int) (int, error) {
-					env.Exchange(sim.Broadcast(env.ID(), benor.ValueMsg{}, []int{(env.ID() + 1) % n}))
+					env.Send(benor.ValueMsg{}, []int{(env.ID() + 1) % n})
+					env.Exchange(nil)
 					return 0, nil
 				})
 			if err == nil || !strings.Contains(err.Error(), "adversary corrupted invalid process") {

@@ -120,7 +120,8 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 		mayFlip := p.NumCoiners <= 0 || p.NumCoiners >= n ||
 			((id-epoch*p.NumCoiners)%n+n)%n < p.NumCoiners
 		env.SetSnapshot(Snapshot{Epoch: epoch, B: b, Decided: decided})
-		in := env.Exchange(sim.Broadcast(id, ValueMsg{B: b, Decided: decided}, targets))
+		env.Send(ValueMsg{B: b, Decided: decided}, targets)
+		in := env.Exchange(nil)
 		if decided {
 			// One announcement epoch after deciding, then stop.
 			return b, nil

@@ -106,13 +106,14 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 	}
 
 	// Round 1: everyone reports its input to the committee.
-	var out []sim.Message
+	peers := make([]int, 0, len(members))
 	for _, m := range members {
 		if m != id {
-			out = append(out, sim.Msg(id, m, InputMsg{B: input}))
+			peers = append(peers, m)
 		}
 	}
-	in := env.Exchange(out)
+	env.Send(InputMsg{B: input}, peers)
+	in := env.Exchange(nil)
 	b := input
 	if isMember {
 		ones, zeros := 0, 0
@@ -139,18 +140,11 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 
 	// Intra-committee voting: Epochs rounds of all-to-all among members
 	// with the biased-majority thresholds.
-	peers := make([]int, 0, len(members)-1)
-	for _, m := range members {
-		if m != id {
-			peers = append(peers, m)
-		}
-	}
 	for e := 0; e < p.Epochs; e++ {
-		out = nil
 		if isMember {
-			out = sim.Broadcast(id, VoteMsg{B: b}, peers)
+			env.Send(VoteMsg{B: b}, peers)
 		}
-		in = env.Exchange(out)
+		in = env.Exchange(nil)
 		if !isMember {
 			continue
 		}
@@ -180,7 +174,6 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 	// Announcement: members broadcast, everyone adopts the majority of
 	// announcements (falling back to its own input when the committee
 	// is silent — the adaptive adversary's jackpot).
-	out = nil
 	if isMember {
 		targets := make([]int, 0, n-1)
 		for i := 0; i < n; i++ {
@@ -188,9 +181,9 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 				targets = append(targets, i)
 			}
 		}
-		out = sim.Broadcast(id, DecisionMsg{B: b}, targets)
+		env.Send(DecisionMsg{B: b}, targets)
 	}
-	in = env.Exchange(out)
+	in = env.Exchange(nil)
 	ones, zeros := 0, 0
 	if isMember {
 		if b == 1 {

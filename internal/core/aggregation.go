@@ -3,6 +3,7 @@ package core
 import (
 	"omicon/internal/partition"
 	"omicon/internal/sim"
+	"omicon/internal/wire"
 )
 
 // groupInfo is the static group context of one process: the paper's W_ℓ,
@@ -54,7 +55,6 @@ type mergedBag struct {
 // counts of ones and zeros for the whole group (meaningful only while the
 // process remains operative) and the updated operative status.
 func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b int) (gOnes, gZeros int, stillOperative bool) {
-	id := env.ID()
 	w := len(gi.members)
 	need := w/2 + 1 // strict majority of the group, self included
 
@@ -68,29 +68,20 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		}
 	}
 
-	others := make([]int, 0, w-1)
-	for _, m := range gi.members {
-		if m != id {
-			others = append(others, m)
-		}
-	}
-
 	// Per-layer scratch, reused across layers. merged is dense, indexed by
 	// bag: BagOf(j, m) = m>>(j-1), so for every layer j >= 2 the bag
 	// indices fit in [0, (w-1)>>1]. The zero mergedBag means "nothing
 	// heard for this bag", exactly what an untouched entry should say.
 	merged := make([]mergedBag, (w-1)>>1+1)
 	heardFrom := make([]int, 0, w-1)
-	out := make([]sim.Message, 0, w-1)
 
 	layers := p.Tree.Layers()
 	for j := 2; j <= layers; j++ {
 		// --- GroupRelay round 1: sources relay child-bag counts. ---
-		out = out[:0]
 		if operative {
-			out = sim.AppendBroadcast(out, id, SourceCountsMsg{Ones: myOnes, Zeros: myZeros}, others)
+			sendToOthers(env, SourceCountsMsg{Ones: myOnes, Zeros: myZeros}, gi.members, gi.myIdx)
 		}
-		in := env.Exchange(out)
+		in := env.Exchange(nil)
 
 		// Transmitter role: merge the received counts per bag of
 		// layer j. The inbox is sorted by sender, so "choose
@@ -132,8 +123,8 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		// majority of confirmations become inoperative — Lemma 1's
 		// intersection argument requires the acknowledgment to certify
 		// "your counts reached me", so acks are per-source. ---
-		out = sim.AppendBroadcast(out[:0], id, AckMsg{}, heardFrom)
-		in = env.Exchange(out)
+		env.Send(AckMsg{}, heardFrom)
+		in = env.Exchange(nil)
 		acks := 0
 		if operative {
 			acks++ // a source always hears itself
@@ -151,8 +142,8 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 
 		// --- GroupRelay round 3: transmitters return the merged
 		// counts, tailored to each recipient's bag. ---
-		out = appendMergedCounts(out[:0], id, p.Tree, j, gi.base, others, merged)
-		in = env.Exchange(out)
+		sendMergedCounts(env, p.Tree, j, gi, merged)
+		in = env.Exchange(nil)
 
 		// Source role: count notifications and adopt the first
 		// present value per side (own merged view first).
@@ -184,21 +175,34 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 	return myOnes, myZeros, operative
 }
 
-// appendMergedCounts appends a transmitter's round-3 messages of layer j:
-// every recipient in others gets the merged counts of its own bag. others
-// is ascending and BagOf is monotone in the member index, so the recipients
-// sharing a bag are a contiguous run, and each run shares one payload.
-func appendMergedCounts(out []sim.Message, id int, tree partition.Tree, j, base int, others []int, merged []mergedBag) []sim.Message {
-	for lo := 0; lo < len(others); {
-		bag := tree.BagOf(j, others[lo]-base)
+// sendMergedCounts stages a transmitter's round-3 messages of layer j:
+// every other member of the group gets the merged counts of its own bag.
+// Members are ascending and BagOf is monotone in the member index, so the
+// members sharing a bag are a contiguous run, and each run shares one
+// payload — sent around the transmitter itself when the run holds it.
+func sendMergedCounts(env sim.Env, tree partition.Tree, j int, gi groupInfo, merged []mergedBag) {
+	members := gi.members
+	for lo := 0; lo < len(members); {
+		bag := tree.BagOf(j, lo)
 		hi := lo + 1
-		for hi < len(others) && tree.BagOf(j, others[hi]-base) == bag {
+		for hi < len(members) && tree.BagOf(j, hi) == bag {
 			hi++
 		}
-		out = sim.AppendBroadcast(out, id, bagToMsg(merged[bag]), others[lo:hi])
+		run := members[lo:hi]
+		if me := gi.myIdx - lo; me < 0 || me >= len(run) {
+			env.Send(bagToMsg(merged[bag]), run)
+		} else if len(run) > 1 {
+			sendToOthers(env, bagToMsg(merged[bag]), run, me)
+		}
 		lo = hi
 	}
-	return out
+}
+
+// sendToOthers stages payload to every id in ids but ids[self]: two Sends
+// over the halves around it, so no target list is built.
+func sendToOthers(env sim.Env, payload wire.Marshaler, ids []int, self int) {
+	env.Send(payload, ids[:self])
+	env.Send(payload, ids[self+1:])
 }
 
 func bagToMsg(mb mergedBag) MergedCountsMsg {

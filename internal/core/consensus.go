@@ -40,7 +40,7 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 		return -1, fmt.Errorf("core: params prepared for n=%d, environment has n=%d", p.N, env.N())
 	}
 	b, decided, operative := epochs(env, input, p)
-	return Finish(env, p.N, p.FallbackPhases, p.Fallback, b, decided, operative)
+	return Finish(env, p.pids, p.FallbackPhases, p.Fallback, b, decided, operative)
 }
 
 // TruncatedConsensus is Algorithm 1 cut at line 16, the form ParamOmissions
@@ -53,7 +53,7 @@ func TruncatedConsensus(env sim.Env, input int, p Params) (value int, ok bool, e
 		return -1, false, fmt.Errorf("core: params prepared for n=%d, environment has n=%d", p.N, env.N())
 	}
 	b, decided, operative := epochs(env, input, p)
-	recv := DecisionBroadcastRound(env, p.N, b, decided, operative)
+	recv := DecisionBroadcastRound(env, p.pids, b, decided, operative)
 	if !(operative && decided) && recv >= 0 {
 		b = recv
 	}
@@ -130,14 +130,14 @@ func epochs(env sim.Env, input int, p Params) (b int, decided, operative bool) {
 // 14-15: decided operative processes broadcast b to everyone; the returned
 // value is the first decision received (-1 if none). It is exported because
 // ParamOmissions reuses the identical construction for its line 24-25.
-func DecisionBroadcastRound(env sim.Env, n, b int, decided, operative bool) int {
+// pids lists 0..env.N()-1 in order.
+func DecisionBroadcastRound(env sim.Env, pids []int, b int, decided, operative bool) int {
 	defer env.Span("decision-bcast")()
 	env.SetSnapshot(Snapshot{Phase: "finish", B: b, Operative: operative, Decided: decided})
-	var out []sim.Message
 	if operative && decided {
-		out = sim.Broadcast(env.ID(), DecisionBcastMsg{B: b}, othersOf(n, env.ID()))
+		sendToOthers(env, DecisionBcastMsg{B: b}, pids, env.ID())
 	}
-	in := env.Exchange(out)
+	in := env.Exchange(nil)
 	for _, m := range in {
 		if db, ok := m.Payload.(DecisionBcastMsg); ok {
 			return db.B
@@ -148,7 +148,8 @@ func DecisionBroadcastRound(env sim.Env, n, b int, decided, operative bool) int 
 
 // Finish implements lines 14-20: the decision broadcast, the early
 // decisions of line 16, and the deterministic fallback of lines 18-19.
-// ParamOmissions reuses it verbatim for its lines 24-30.
+// ParamOmissions reuses it verbatim for its lines 24-30; pids is as for
+// DecisionBroadcastRound.
 //
 // Fallback correctness relies on two facts established in Lemma 11's proof:
 // if any process reached decided=true, then every operative process already
@@ -157,8 +158,8 @@ func DecisionBroadcastRound(env sim.Env, n, b int, decided, operative bool) int 
 // process decided, the participants are all operative processes (at least
 // n-3t of them), so at most 4t slots are silent or faulty and the 5t+1
 // phase budget guarantees a phase whose king is a non-faulty participant.
-func Finish(env sim.Env, n, fallbackPhases int, kind FallbackKind, b int, decided, operative bool) (int, error) {
-	recv := DecisionBroadcastRound(env, n, b, decided, operative)
+func Finish(env sim.Env, pids []int, fallbackPhases int, kind FallbackKind, b int, decided, operative bool) (int, error) {
+	recv := DecisionBroadcastRound(env, pids, b, decided, operative)
 	if !(operative && decided) && recv >= 0 {
 		b = recv // line 15
 	}
@@ -178,7 +179,8 @@ func Finish(env sim.Env, n, fallbackPhases int, kind FallbackKind, b int, decide
 		default:
 			v = phaseking.Run(env, b, true, fallbackPhases)
 		}
-		env.Exchange(sim.Broadcast(env.ID(), FinalDecisionMsg{B: v}, othersOf(n, env.ID())))
+		sendToOthers(env, FinalDecisionMsg{B: v}, pids, env.ID())
+		env.Exchange(nil)
 		return v, nil
 	}
 
@@ -203,17 +205,6 @@ func Finish(env sim.Env, n, fallbackPhases int, kind FallbackKind, b int, decide
 	// Unreachable for non-faulty processes: either |D| or |U| exceeds t
 	// (Lemma 11), so a non-faulty announcement always arrives.
 	return -1, nil
-}
-
-// othersOf returns every process id except self.
-func othersOf(n, self int) []int {
-	all := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != self {
-			all = append(all, i)
-		}
-	}
-	return all
 }
 
 // Protocol adapts Consensus to the sim.Protocol signature.

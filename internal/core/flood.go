@@ -15,10 +15,9 @@ import (
 // nothing beyond the caller's payload.
 type Links struct {
 	neighbors   []int
-	disregarded *bitset.Set   // pids whose links are permanently cut
-	heard       *bitset.Set   // pids heard this round
-	live        []int         // reused: this round's non-disregarded neighbors
-	out         []sim.Message // reused outbox (backing reusable after Exchange)
+	disregarded *bitset.Set // pids whose links are permanently cut
+	heard       *bitset.Set // pids heard this round
+	live        []int       // reused: this round's non-disregarded neighbors
 }
 
 // NewLinks returns process id's links in g, none disregarded yet. It
@@ -31,7 +30,6 @@ func NewLinks(g *graph.Graph, id int) Links {
 		disregarded: bitset.New(g.N()),
 		heard:       bitset.New(g.N()),
 		live:        make([]int, 0, len(neighbors)),
-		out:         make([]sim.Message, 0, len(neighbors)),
 	}
 }
 
@@ -42,8 +40,8 @@ func (l *Links) Disregards(q int) bool { return l.disregarded.Contains(q) }
 // msg on every live link, hands take each payload of type M received from
 // a live link, disregards every live link that stayed silent, and reports
 // whether at least threshold links were heard — the process stays
-// operative. Neighbors are ascending, so a round is one broadcast; with
-// every link cut the round is idle.
+// operative. A round is one Send over the live links; with every link cut
+// the round is idle.
 func FloodRound[M wire.Marshaler](env sim.Env, l *Links, msg M, threshold int, take func(M)) bool {
 	live := l.live[:0]
 	for _, q := range l.neighbors {
@@ -51,11 +49,10 @@ func FloodRound[M wire.Marshaler](env sim.Env, l *Links, msg M, threshold int, t
 			live = append(live, q)
 		}
 	}
-	var out []sim.Message
 	if len(live) > 0 {
-		out = sim.AppendBroadcast(l.out[:0], env.ID(), msg, live)
+		env.Send(msg, live)
 	}
-	in := env.Exchange(out)
+	in := env.Exchange(nil)
 
 	// Every neighbor sends at most one message per round, so the
 	// messages taken count the distinct links heard.

@@ -85,6 +85,8 @@ type Params struct {
 	// cites (Theorem 4 in [15]); see internal/dolevstrong for why its
 	// guarantees carry to the omission model without signatures.
 	Fallback FallbackKind
+
+	pids []int // 0..N-1: a send to all others is two Sends over its halves
 }
 
 // FallbackKind enumerates the deterministic backstop protocols.
@@ -210,6 +212,7 @@ func Prepare(n, t int, opts ...Option) (Params, error) {
 		Tree:               partition.NewTree(decomp.MaxGroupSize()),
 		GraphParams:        gp,
 		Fallback:           o.fallback,
+		pids:               partition.Blocks(n, 1).Group(0),
 	}, nil
 }
 

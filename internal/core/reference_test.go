@@ -18,6 +18,20 @@ import (
 // implementations, and checks that the one-payload-per-round code puts
 // byte-identical messages on every link.
 
+// sendRecorder is an Env that records what process id stages, one message
+// per target in staging order.
+type sendRecorder struct {
+	sim.Env
+	id   int
+	sent []sim.Message
+}
+
+func (r *sendRecorder) Send(payload wire.Marshaler, to []int) {
+	for _, q := range to {
+		r.sent = append(r.sent, sim.Msg(r.id, q, payload))
+	}
+}
+
 // refLinkState is linkState with one dedup set per link.
 type refLinkState struct {
 	neighbors   []int
@@ -226,8 +240,13 @@ func TestMergedCountsMatchPerRecipientReference(t *testing.T) {
 	for w := 1; w <= 70; w++ {
 		tree := partition.NewTree(w)
 		merged := make([]mergedBag, (w-1)>>1+1)
+		members := make([]int, w)
+		for i := range members {
+			members[i] = base + i
+		}
 		for idx := 0; idx < w; idx++ {
 			id := base + idx
+			gi := groupInfo{members: members, myIdx: idx, base: base}
 			var others []int
 			for m := base; m < base+w; m++ {
 				if m != id {
@@ -245,7 +264,9 @@ func TestMergedCountsMatchPerRecipientReference(t *testing.T) {
 				for _, q := range others {
 					want = append(want, sim.Msg(id, q, bagToMsg(merged[tree.BagOf(j, q-base)])))
 				}
-				got := appendMergedCounts(nil, id, tree, j, base, others, merged)
+				rec := &sendRecorder{id: id}
+				sendMergedCounts(rec, tree, j, gi, merged)
+				got := rec.sent
 				if len(got) != len(want) {
 					t.Fatalf("w=%d id=%d layer %d: %d messages, reference sent %d", w, id, j, len(got), len(want))
 				}

@@ -92,14 +92,11 @@ func Run(env sim.Env, input int, participate bool, phasesBudget int) int {
 	}
 
 	for r := 1; r <= rounds; r++ {
-		var out []sim.Message
 		for _, m := range pending {
-			for _, q := range others {
-				out = append(out, sim.Msg(id, q, m))
-			}
+			env.Send(m, others)
 		}
 		pending = nil
-		in := env.Exchange(out)
+		in := env.Exchange(nil)
 		if !participate {
 			continue
 		}

@@ -83,10 +83,12 @@ func Consensus(env sim.Env, input int) (int, error) {
 		// Round 1: universal exchange (processes that adopted an
 		// announced decision re-announce instead, then leave).
 		if adopted >= 0 {
-			env.Exchange(sim.Broadcast(id, DecidedMsg{V: adopted}, others))
+			env.Send(DecidedMsg{V: adopted}, others)
+			env.Exchange(nil)
 			return adopted, nil
 		}
-		in := env.Exchange(sim.Broadcast(id, PrefMsg{V: pref}, others))
+		env.Send(PrefMsg{V: pref}, others)
+		in := env.Exchange(nil)
 		c := [2]int{}
 		heardDecided := -1
 		for _, m := range in {
@@ -110,7 +112,8 @@ func Consensus(env sim.Env, input int) (int, error) {
 		// Early decision: overwhelming support means every non-faulty
 		// process is already locked onto maj.
 		if mult >= n-t {
-			env.Exchange(sim.Broadcast(id, DecidedMsg{V: maj}, others))
+			env.Send(DecidedMsg{V: maj}, others)
+			env.Exchange(nil)
 			return maj, nil
 		}
 		if heardDecided >= 0 {
@@ -124,11 +127,10 @@ func Consensus(env sim.Env, input int) (int, error) {
 		}
 
 		// Round 2: king tie-break.
-		var out []sim.Message
 		if id == king {
-			out = sim.Broadcast(id, KingMsg{V: maj}, others)
+			env.Send(KingMsg{V: maj}, others)
 		}
-		in = env.Exchange(out)
+		in = env.Exchange(nil)
 		kingVal := -1
 		for _, m := range in {
 			switch km := m.Payload.(type) {

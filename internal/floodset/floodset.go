@@ -52,7 +52,8 @@ func Consensus(env sim.Env, input int) (int, error) {
 	has[input&1] = true
 
 	for r := 0; r < Rounds(env.T()); r++ {
-		in := env.Exchange(sim.Broadcast(id, SetMsg{Has0: has[0], Has1: has[1]}, targets))
+		env.Send(SetMsg{Has0: has[0], Has1: has[1]}, targets)
+		in := env.Exchange(nil)
 		for _, m := range in {
 			if sm, ok := m.Payload.(SetMsg); ok {
 				has[0] = has[0] || sm.Has0

@@ -181,7 +181,8 @@ func Consensus(env sim.Env, value []byte, p Params) ([]byte, error) {
 	// processes. Processes cannot equivocate, so at most one value can
 	// reach that count (n > 2t), and unanimous non-faulty inputs always do.
 	closeLock := env.Span("mv-lock")
-	in := env.Exchange(sim.Broadcast(id, InputMsg{Value: value}, others))
+	env.Send(InputMsg{Value: value}, others)
+	in := env.Exchange(nil)
 	closeLock()
 	counts := map[string]int{string(value): 1}
 	for _, m := range in {
@@ -205,11 +206,10 @@ func Consensus(env sim.Env, value []byte, p Params) ([]byte, error) {
 
 		// Step 1: proposal broadcast.
 		closePropose := env.Span("mv-propose")
-		var out []sim.Message
 		if id == proposer {
-			out = sim.Broadcast(id, ProposalMsg{Value: value}, others)
+			env.Send(ProposalMsg{Value: value}, others)
 		}
-		in := env.Exchange(out)
+		in := env.Exchange(nil)
 		closePropose()
 		var proposal []byte
 		have := false
@@ -229,11 +229,10 @@ func Consensus(env sim.Env, value []byte, p Params) ([]byte, error) {
 		// missed the broadcast can adopt from any echo, and counting
 		// distinct echo senders counts genuine holders.
 		closeEcho := env.Span("mv-echo")
-		out = nil
 		if have {
-			out = sim.Broadcast(id, EchoMsg{Value: proposal}, others)
+			env.Send(EchoMsg{Value: proposal}, others)
 		}
-		in = env.Exchange(out)
+		in = env.Exchange(nil)
 		closeEcho()
 		holders := 0
 		if have {
@@ -275,11 +274,10 @@ func Consensus(env sim.Env, value []byte, p Params) ([]byte, error) {
 
 		// Step 3: recovery round.
 		closeRecover := env.Span("mv-recover")
-		out = nil
 		if d == 1 && have {
-			out = sim.Broadcast(id, RecoverMsg{Value: proposal}, others)
+			env.Send(RecoverMsg{Value: proposal}, others)
 		}
-		in = env.Exchange(out)
+		in = env.Exchange(nil)
 		closeRecover()
 		if d == 1 {
 			if !have {

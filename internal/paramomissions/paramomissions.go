@@ -50,6 +50,8 @@ type Params struct {
 	// inner holds the prepared OptimalOmissionsConsensus parameters per
 	// distinct super-process size.
 	inner map[int]core.Params
+
+	pids []int // 0..N-1: a send to all others is two Sends over its halves
 }
 
 // Option customizes Prepare.
@@ -133,6 +135,7 @@ func Prepare(n, t, x int, opts ...Option) (Params, error) {
 		GraphParams:        gp,
 		Decomp:             decomp,
 		inner:              inner,
+		pids:               partition.Blocks(n, 1).Group(0),
 	}, nil
 }
 

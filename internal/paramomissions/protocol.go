@@ -35,7 +35,7 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 				remaining += p.PhaseRounds(i)
 			}
 			sim.Idle(env, remaining+1) // +1 covers the safety-rule round
-			return core.Finish(env, p.N, p.FallbackPhases, core.FallbackPhaseKing, b, false, false)
+			return core.Finish(env, p.pids, p.FallbackPhases, core.FallbackPhaseKing, b, false, false)
 		}
 
 		env.SetSnapshot(Snapshot{Phase: phase, Stage: "inner", B: b, Operative: operative})
@@ -70,12 +70,12 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 	// Safety rule, lines 15-23: one all-to-all exchange of candidate bits
 	// with Algorithm 1's thresholds (deterministic — no coin here).
 	decided := false
-	var out []sim.Message
 	if operative {
-		out = sim.Broadcast(id, SafetyMsg{B: b}, others(p.N, id))
+		env.Send(SafetyMsg{B: b}, p.pids[:id])
+		env.Send(SafetyMsg{B: b}, p.pids[id+1:])
 	}
 	env.SetSnapshot(Snapshot{Stage: "safety", B: b, Operative: operative})
-	in := env.Exchange(out)
+	in := env.Exchange(nil)
 	if operative {
 		ones, zeros := 0, 0
 		if b == 1 {
@@ -103,7 +103,7 @@ func Consensus(env sim.Env, input int, p Params) (int, error) {
 	}
 
 	// Lines 24-30: identical to Algorithm 1's finish stage.
-	return core.Finish(env, p.N, p.FallbackPhases, core.FallbackPhaseKing, b, decided, operative)
+	return core.Finish(env, p.pids, p.FallbackPhases, core.FallbackPhaseKing, b, decided, operative)
 }
 
 // flood implements the 2 log n gossip of lines 9-12 on the operative flood
@@ -124,16 +124,6 @@ func flood(env sim.Env, p Params, links *core.Links, hasValue bool, value int) (
 		}
 	}
 	return hasValue, value, true
-}
-
-func others(n, self int) []int {
-	out := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != self {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Protocol adapts Consensus to the sim.Protocol signature.

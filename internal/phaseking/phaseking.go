@@ -92,23 +92,19 @@ func Run(env sim.Env, input int, participate bool, phases int) int {
 	}
 	pref := input
 
-	// Reused per-phase scratch: the outbox backing may be reused after
-	// Exchange returns (the Env aliasing contract), and the round-1 tally
-	// is two packed voter sets whose popcounts are the majority counts —
-	// every participant broadcasts at most one ValueMsg per round, so
-	// distinct voters = votes.
-	out := make([]sim.Message, 0, n)
+	// Reused per-phase scratch: the round-1 tally is two packed voter sets
+	// whose popcounts are the majority counts — every participant
+	// broadcasts at most one ValueMsg per round, so distinct voters = votes.
 	votes := [2]*bitset.Set{bitset.New(n), bitset.New(n)}
 
 	for phase := 0; phase < phases; phase++ {
 		king := phase % n
 
 		// Round 1: universal exchange of preferences.
-		out = out[:0]
 		if participate {
-			out = sim.AppendBroadcast(out, env.ID(), ValueMsg{pref}, all)
+			env.Send(ValueMsg{pref}, all)
 		}
-		in := env.Exchange(out)
+		in := env.Exchange(nil)
 		votes[0].Clear()
 		votes[1].Clear()
 		for _, m := range in {
@@ -123,11 +119,10 @@ func Run(env sim.Env, input int, participate bool, phases int) int {
 		}
 
 		// Round 2: the king broadcasts its majority value.
-		out = out[:0]
 		if participate && env.ID() == king {
-			out = sim.AppendBroadcast(out, env.ID(), KingMsg{maj}, all)
+			env.Send(KingMsg{maj}, all)
 		}
-		in = env.Exchange(out)
+		in = env.Exchange(nil)
 		kingVal := -1
 		for _, m := range in {
 			if km, ok := m.Payload.(KingMsg); ok && m.From == king && (km.V == 0 || km.V == 1) {

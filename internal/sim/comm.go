@@ -13,12 +13,14 @@ import (
 // parts on the shard workers, and the TCP coordinator runs it as a single
 // chunk through Communicate.
 //
-// The chunked parts (View fill with drop-mask clear, count, fill) split the
-// processes into k contiguous pid ranges, the ±1-balanced blocks of
-// partition.Blocks, and the outbox into k contiguous index ranges. Chunk w
-// touches only its own ranges and merges run in chunk order, so the chunks
-// of a part may run in parallel and every output is identical at any k. A
-// warm phase allocates nothing.
+// The driver hands over the outbox with its bit total, whether it is in
+// canonical order, and its messages per (chunk, receiver). The chunked parts
+// (View fill, fill) split the processes into k contiguous pid ranges, the
+// ±1-balanced blocks of partition.Blocks, and the outbox into the k index
+// ranges their senders wrote, which the sort keeps. Chunk w touches only its
+// own ranges and merges run in chunk order, so the chunks of a part may run
+// in parallel and every output is identical at any k. A warm phase
+// allocates nothing.
 type CommPhase struct {
 	n        int
 	adv      Adversary
@@ -41,11 +43,12 @@ type CommPhase struct {
 	view     View
 
 	outbox     []Message
-	droppedBuf []bool
+	droppedBuf []bool // all false between phases
 	dropped    []bool // this round's drop mask; nil when nothing dropped
+	drops      []int  // the indices the action dropped, unmarked after the fill
 	cuts       []int  // chunk w's pids are [cuts[w], cuts[w+1])
-	chunks     []int  // chunk w's outbox indices are [chunks[w], chunks[w+1])
-	counts     []int  // n per chunk: survivors per receiver, then fill cursors
+	chunks     []int  // chunk w's outbox indices are [chunks[w], chunks[w+1]), set by the driver
+	counts     []int  // n per chunk: messages per receiver, less drops, then fill cursors
 	inStarts   []int  // n+1 receiver-major carve offsets into arena
 	arena      []Message
 	inboxes    [][]Message
@@ -102,60 +105,60 @@ func (c *CommPhase) Inbox(p int) []Message { return c.inboxes[p] }
 
 // Communicate runs one communication phase over out as a single chunk and
 // returns the number of messages the adversary dropped. out must group the
-// senders in ascending pid order, as both drivers gather it, and is sorted
-// in place. An illegal adversary action is returned as Legality's error,
-// and the inboxes are then not carved.
+// senders in ascending pid order, as both drivers gather it, with every
+// target in [0, n), and is sorted in place. An illegal adversary action is
+// returned as Legality's error, and the phase ends there.
 func (c *CommPhase) Communicate(round int, out []Message) (int, error) {
+	counts := c.counts[:c.n]
+	clear(counts)
 	var bits int64
 	for _, m := range out {
 		bits += m.Bits()
+		counts[m.To]++
 	}
+	c.chunks[1] = len(out)
 	ndrop := 0
-	if c.open(round, out, bits) {
+	if c.open(round, out, bits, false) {
 		c.viewChunk(0)
 		var err error
 		if ndrop, err = c.judge(); err != nil {
 			return 0, err
 		}
 	}
-	c.countChunk(0)
 	c.cursors()
 	c.fillChunk(0)
+	c.unmark()
 	return ndrop, nil
 }
 
-// open starts a phase over out, whose messages carry bits in total: it
-// accounts them and splits out into chunks. Unless the fast path applies it
-// also sorts out into canonical order and readies the View and drop mask,
-// and reports that the View and judge parts run. The fast path may skip
-// them: nothing observes the order, nothing can be dropped, no View is read
-// — and out arrives sender-grouped ascending, so each inbox still carves
-// From-sorted with ties in send order, exactly what the canonical path
-// delivers.
-func (c *CommPhase) open(round int, out []Message, bits int64) bool {
+// open starts a phase over out, whose messages carry bits in total; the
+// driver has set the chunk ranges and the counts. It accounts the messages.
+// Unless the fast path applies it also sorts out into canonical order, when
+// ordered does not say it holds already, readies the View, and reports that
+// the View and judge parts run. The fast path may skip them: nothing
+// observes the order, nothing can be dropped, no View is read — and out
+// arrives sender-grouped ascending, so each inbox still carves From-sorted
+// with ties in send order, exactly what the canonical path delivers.
+func (c *CommPhase) open(round int, out []Message, bits int64, ordered bool) bool {
 	c.outbox = out
 	c.counters.AddMessages(int64(len(out)), bits)
-	k := len(c.chunks) - 1
-	for w := range c.chunks {
-		c.chunks[w] = w * len(out) / k
-	}
+	c.dropped = nil
 	if c.fast {
-		c.dropped = nil
 		return false
 	}
-	c.orderer.Sort(out, c.n)
+	if !ordered {
+		c.orderer.Sort(out, c.n)
+	}
 	if cap(c.droppedBuf) < len(out) {
 		c.droppedBuf = make([]bool, len(out))
 	}
-	c.dropped = c.droppedBuf[:len(out)]
 	c.view.Round = round
 	c.view.Outbox = out
 	return true
 }
 
-// viewChunk fills chunk w's pid range of the View and clears its range of
-// the drop mask. Every process is parked or done, so reading its snapshot
-// and random source is safe.
+// viewChunk fills chunk w's pid range of the View. Every process is parked
+// or done, so reading its snapshot and random source is safe.
 func (c *CommPhase) viewChunk(w int) {
 	v := &c.view
 	lo, hi := c.cuts[w], c.cuts[w+1]
@@ -173,16 +176,17 @@ func (c *CommPhase) viewChunk(w int) {
 			v.RandomBits[p] = c.sources[p].BitsDrawn()
 		}
 	}
-	clear(c.dropped[c.chunks[w]:c.chunks[w+1]])
 }
 
 // judge consults the adversary on the filled View and applies its action
 // through Legality — inherently serial, the corrupted set being stateful —
-// into the cleared drop mask. It returns the number of dropped messages.
+// into the all-false drop mask, uncounting each dropped message. It returns
+// the number of dropped messages; an error ends the execution.
 func (c *CommPhase) judge() (int, error) {
 	act := c.adv.Step(&c.view)
 	drained := c.legality.numCorr
-	ndrop, err := c.legality.checkIntoCleared(c.view.Round, c.outbox, act, c.dropped)
+	mask := c.droppedBuf[:len(c.outbox)]
+	ndrop, err := c.legality.checkIntoCleared(c.view.Round, c.outbox, act, mask, c.uncount)
 	if err != nil {
 		return 0, err
 	}
@@ -200,31 +204,34 @@ func (c *CommPhase) judge() (int, error) {
 			c.tr.Emit(trace.Event{Kind: trace.KindCorrupt, Round: c.view.Round, Proc: p, Value: int64(drained)})
 		}
 	}
-	if ndrop == 0 {
-		c.dropped = nil
+	if ndrop > 0 {
+		c.dropped, c.drops = mask, act.Drop
 	}
 	return ndrop, nil
 }
 
-// countChunk counts chunk w's surviving messages per receiver.
-func (c *CommPhase) countChunk(w int) {
-	counts := c.counts[w*c.n : (w+1)*c.n]
-	clear(counts)
-	dropped := c.dropped
-	for idx := c.chunks[w]; idx < c.chunks[w+1]; idx++ {
-		if dropped != nil && dropped[idx] {
-			continue
-		}
-		if m := c.outbox[idx]; c.alive[m.To] {
-			counts[m.To]++
-		}
+// uncount takes outbox message idx out of its chunk's receiver count.
+func (c *CommPhase) uncount(idx int) {
+	w := 0
+	for idx >= c.chunks[w+1] {
+		w++
 	}
+	c.counts[w*c.n+c.outbox[idx].To]--
 }
 
-// cursors turns the per-(chunk, receiver) counts into absolute fill
-// cursors, receiver-major and in chunk order within a receiver, and grows
-// the reused arena to fit — safe to rewrite here because every delivered
-// slice is dead by the time its receiver sends again.
+// unmark returns the drop mask to all false by clearing only the indices
+// the action dropped.
+func (c *CommPhase) unmark() {
+	for _, idx := range c.drops {
+		c.droppedBuf[idx] = false
+	}
+	c.drops = nil
+}
+
+// cursors turns the per-(chunk, receiver) survivor counts into absolute
+// fill cursors, receiver-major and in chunk order within a receiver, and
+// grows the reused arena to fit — safe to rewrite here because every
+// delivered slice is dead by the time its receiver sends again.
 func (c *CommPhase) cursors() {
 	n, k := c.n, len(c.cuts)-1
 	off := 0
@@ -245,7 +252,8 @@ func (c *CommPhase) cursors() {
 // fillChunk places chunk w's survivors at its absolute cursors (disjoint
 // across chunks by construction) and publishes the inboxes of its own pids,
 // capacity-clamped so a protocol appending to its inbox cannot clobber a
-// neighbour's messages.
+// neighbour's messages. A receiver that is not alive gets no inbox: what
+// was placed for it is never read.
 func (c *CommPhase) fillChunk(w int) {
 	counts := c.counts[w*c.n : (w+1)*c.n]
 	dropped := c.dropped
@@ -254,10 +262,9 @@ func (c *CommPhase) fillChunk(w int) {
 		if dropped != nil && dropped[idx] {
 			continue
 		}
-		if m := c.outbox[idx]; c.alive[m.To] {
-			arena[counts[m.To]] = m
-			counts[m.To]++
-		}
+		m := c.outbox[idx]
+		arena[counts[m.To]] = m
+		counts[m.To]++
 	}
 	for p := c.cuts[w]; p < c.cuts[w+1]; p++ {
 		if a, b := c.inStarts[p], c.inStarts[p+1]; c.alive[p] && b > a {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestEngineRoundAllocationBudget gates the hot-path allocation work: with
-// processes resending a pre-built outbox, the engine's own per-round cost
+// processes sending the same payload every round, the engine's own per-round cost
 // is amortized setup only — the inbox backing comes from the reused arena.
 // The budget of 8 per round is far below what any reintroduced per-round
 // View/sort/map allocation would cost (tens per round at n=64); the
@@ -28,9 +28,9 @@ func TestEngineRoundAllocationBudget(t *testing.T) {
 					targets = append(targets, i)
 				}
 			}
-			out := Broadcast(env.ID(), bitPayload{1}, targets)
 			for r := 0; r < rounds; r++ {
-				env.Exchange(out)
+				env.Send(bitPayload{1}, targets)
+				env.Exchange(nil)
 			}
 			return 0, nil
 		}
@@ -70,26 +70,24 @@ func TestSetupAllocsPerProcess(t *testing.T) {
 	}
 }
 
-// sparseRunAllocs measures whole-run heap allocations for the sparse
-// workload of BenchmarkEngineRoundSparse: every process resends a prebuilt
-// ⌊√n⌋-target outbox each round. Differencing two round counts isolates the
-// steady-state marginal cost of a round from the O(n) engine setup
-// (rng sources, per-process slices) that a whole-run count amortizes —
-// the very effect behind the historical n=4096 "allocation cliff", where
-// setup divided by few benchmark iterations read as thousands of
-// allocs/op.
-func sparseRunAllocs(t *testing.T, n, shards, rounds int, adv Adversary) float64 {
+// runAllocs measures whole-run heap allocations of an execution in which
+// every process, each of rounds rounds, makes send's Sends and exchanges;
+// pids holds 0..n-1, one slice shared by every process. Differencing two
+// round counts isolates the steady-state marginal cost of a round from the
+// O(n) engine setup (rng sources, per-process slices) that a whole-run
+// count amortizes — the very effect behind the historical n=4096
+// "allocation cliff", where setup divided by few benchmark iterations read
+// as thousands of allocs/op.
+func runAllocs(t *testing.T, n, shards, rounds int, adv Adversary, send func(env Env, pids []int)) float64 {
 	t.Helper()
-	deg := int(math.Sqrt(float64(n)))
+	pids := make([]int, n)
+	for i := range pids {
+		pids[i] = i
+	}
 	proto := func(env Env, input int) (int, error) {
-		id := env.ID()
-		targets := make([]int, deg)
-		for i := range targets {
-			targets[i] = (id + 1 + i) % n
-		}
-		out := Broadcast(id, bitPayload{1}, targets)
 		for r := 0; r < rounds; r++ {
-			env.Exchange(out)
+			send(env, pids)
+			env.Exchange(nil)
 		}
 		return 0, nil
 	}
@@ -99,6 +97,17 @@ func sparseRunAllocs(t *testing.T, n, shards, rounds int, adv Adversary) float64
 			t.Fatal(err)
 		}
 	})
+}
+
+// sparseSends is the workload of BenchmarkEngineRoundSparse: every process
+// sends one payload to its ⌊√n⌋ successors modulo n.
+func sparseSends(env Env, pids []int) {
+	n, id := len(pids), env.ID()
+	end := id + 1 + int(math.Sqrt(float64(n)))
+	env.Send(bitPayload{1}, pids[id+1:min(end, n)])
+	if end > n {
+		env.Send(bitPayload{1}, pids[:end-n])
+	}
 }
 
 // steadyAllocTolerance is the pass threshold for steady-state marginal
@@ -119,12 +128,12 @@ const steadyAllocTolerance = 0.25
 // drain on one P, so a leg occasionally allocates a few fresh ones. A
 // collection landing between the legs can also let the pool drop the
 // coroutine crew, which the next leg then rebuilds.
-func steadyStateRoundAllocs(t *testing.T, n, shards, base int, adv Adversary) float64 {
+func steadyStateRoundAllocs(t *testing.T, n, shards, base int, adv Adversary, send func(env Env, pids []int)) float64 {
 	t.Helper()
 	best := math.Inf(1)
 	for trial := 0; trial < 4; trial++ {
-		short := sparseRunAllocs(t, n, shards, base, adv)
-		long := sparseRunAllocs(t, n, shards, 2*base, adv)
+		short := runAllocs(t, n, shards, base, adv, send)
+		long := runAllocs(t, n, shards, 2*base, adv, send)
 		if d := (long - short) / float64(base); d < best {
 			best = d
 		}
@@ -159,7 +168,7 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 			name string
 			adv  Adversary
 		}{{"fast", nil}, {"full", passThrough{}}} {
-			if perRound := steadyStateRoundAllocs(t, n, 0, base, tc.adv); perRound > steadyAllocTolerance {
+			if perRound := steadyStateRoundAllocs(t, n, 0, base, tc.adv, sparseSends); perRound > steadyAllocTolerance {
 				t.Errorf("n=%d %s path: %.2f allocs per steady-state round, want 0",
 					n, tc.name, perRound)
 			}
@@ -184,9 +193,37 @@ func TestSparseRoundAllocsFlatInN(t *testing.T) {
 			if n >= 4096 {
 				base = 10
 			}
-			if perRound := steadyStateRoundAllocs(t, n, shards, base, nil); perRound > steadyAllocTolerance {
+			if perRound := steadyStateRoundAllocs(t, n, shards, base, nil, sparseSends); perRound > steadyAllocTolerance {
 				t.Errorf("n=%d shards=%d: %.2f allocs per steady-state round, want O(1) in n (0)",
 					n, shards, perRound)
+			}
+		}
+	}
+}
+
+// TestSendRoundAllocs pins the staging path: rounds in which every process
+// makes several Sends — the two halves of a send to its neighbours on
+// either side, sliced from one shared ascending slice, then one to itself,
+// which breaks the canonical order and makes the full path sort — allocate
+// nothing in steady state, at one shard and at two.
+func TestSendRoundAllocs(t *testing.T) {
+	multiSends := func(env Env, pids []int) {
+		n, id := len(pids), env.ID()
+		deg := int(math.Sqrt(float64(n)))
+		env.Send(bitPayload{1}, pids[max(0, id-deg):id])
+		env.Send(bitPayload{1}, pids[id+1:min(n, id+1+deg)])
+		env.Send(bitPayload{0}, pids[id:id+1])
+	}
+	for _, n := range []int{64, 1024} {
+		for _, shards := range []int{0, 2} {
+			for _, tc := range []struct {
+				name string
+				adv  Adversary
+			}{{"fast", nil}, {"full", passThrough{}}} {
+				if perRound := steadyStateRoundAllocs(t, n, shards, 30, tc.adv, multiSends); perRound > steadyAllocTolerance {
+					t.Errorf("n=%d shards=%d %s path: %.2f allocs per steady-state round, want 0",
+						n, shards, tc.name, perRound)
+				}
 			}
 		}
 	}

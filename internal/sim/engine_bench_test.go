@@ -22,7 +22,8 @@ func benchRounds(b *testing.B, n, rounds int, adv Adversary) *Result {
 			}
 			payload := bitPayload{1}
 			for r := 0; r < rounds; r++ {
-				env.Exchange(Broadcast(env.ID(), payload, targets))
+				env.Send(payload, targets)
+				env.Exchange(nil)
 			}
 			return 0, nil
 		})
@@ -62,8 +63,9 @@ func BenchmarkEngineRoundAdversarial(b *testing.B) {
 }
 
 // BenchmarkEngineRoundOverhead isolates the engine's own per-round cost:
-// every process builds its outbox once and resends the same slice, so the
-// allocations reported here are pure harness overhead, not protocol work.
+// every process sends the same unboxed payload to the same targets every
+// round, so the allocations reported here are pure harness overhead, not
+// protocol work.
 func BenchmarkEngineRoundOverhead(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		n := n
@@ -83,9 +85,9 @@ func BenchmarkEngineRoundOverhead(b *testing.B) {
 								targets = append(targets, i)
 							}
 						}
-						out := Broadcast(env.ID(), bitPayload{1}, targets)
 						for r := 0; r < rounds; r++ {
-							env.Exchange(out)
+							env.Send(bitPayload{1}, targets)
+							env.Exchange(nil)
 						}
 						return 0, nil
 					})
@@ -97,8 +99,8 @@ func BenchmarkEngineRoundOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRoundSparse is the large-n regime: every process resends
-// a prebuilt ⌊√n⌋-target outbox each round — the message density of a
+// BenchmarkEngineRoundSparse is the large-n regime: every process sends to
+// the same ⌊√n⌋ targets each round — the message density of a
 // Theorem-1 execution, where all-to-all traffic would make a memory
 // benchmark out of an engine one. The arena/zero-alloc work is aimed
 // squarely here; TestSparseRoundAllocsFlatInN pins the steady-state
@@ -117,9 +119,9 @@ func BenchmarkEngineRoundSparse(b *testing.B) {
 					for j := range targets {
 						targets[j] = (env.ID() + 1 + j*deg) % n
 					}
-					out := Broadcast(env.ID(), bitPayload{1}, targets)
 					for r := 0; r < rounds; r++ {
-						env.Exchange(out)
+						env.Send(bitPayload{1}, targets)
+						env.Exchange(nil)
 					}
 					return 0, nil
 				})

@@ -21,7 +21,8 @@ func majorityOnce(env Env, input int) (int, error) {
 		all[i] = i
 	}
 	env.SetSnapshot(input)
-	in := env.Exchange(Broadcast(env.ID(), bitPayload{input}, all))
+	env.Send(bitPayload{input}, all)
+	in := env.Exchange(nil)
 	ones, total := 0, 0
 	for _, m := range in {
 		p, ok := m.Payload.(bitPayload)
@@ -80,7 +81,8 @@ func TestEngineDeterminism(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			env.Exchange(Broadcast(env.ID(), bitPayload{b}, all))
+			env.Send(bitPayload{b}, all)
+			env.Exchange(nil)
 			return b, nil
 		})
 		if err != nil {
@@ -148,7 +150,8 @@ func TestEngineOmissionsSilenceCorrupted(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			in := env.Exchange(Broadcast(env.ID(), bitPayload{input}, all))
+			env.Send(bitPayload{input}, all)
+			in := env.Exchange(nil)
 			counted[env.ID()] = len(in)
 			return input, nil
 		})
@@ -230,7 +233,8 @@ func TestSubEnvTranslation(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			in := sub.Exchange(Broadcast(sub.ID(), bitPayload{sub.ID()}, all))
+			sub.Send(bitPayload{sub.ID()}, all)
+			in := sub.Exchange(nil)
 			if len(in) != len(members) {
 				return -1, errors.New("wrong subenv inbox size")
 			}

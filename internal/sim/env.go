@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+
 	"omicon/internal/rng"
+	"omicon/internal/wire"
 )
 
 // Env is the execution environment a protocol sees. Protocols are written
@@ -21,10 +24,16 @@ type Env interface {
 	// Rand returns the process's metered random source (Section 2's
 	// randomness metric counts every access).
 	Rand() *rng.Source
-	// Exchange submits this round's outgoing messages and blocks until
-	// the communication phase completes, returning the messages
-	// delivered to this process, sorted by sender. Passing nil sends
-	// nothing (an idle round).
+	// Send stages one message carrying payload to each pid in to, in order
+	// and ahead of Exchange's out, for this process's next Exchange; the
+	// payload is measured once. A target outside [0, N()) fails the
+	// execution at that Exchange; a process that returns instead sends
+	// nothing it staged.
+	Send(payload wire.Marshaler, to []int)
+	// Exchange stages out (each message naming this process as sender) and
+	// blocks until the communication phase completes, returning the messages
+	// delivered to this process, sorted by sender. With nothing staged, nil
+	// makes an idle round.
 	//
 	// ALIASING CONTRACT (both directions, the zero-alloc hot path of
 	// docs/PERFORMANCE.md depends on it):
@@ -34,18 +43,17 @@ type Env interface {
 	//     the following round. Protocols must finish reading (or copy)
 	//     an inbox before exchanging again; none of the protocols here
 	//     retain inboxes across rounds.
-	//   - The out slice's backing may be reused by the caller after
-	//     Exchange returns: the engine copies the message values at the
-	//     barrier before resuming the sender.
-	//   - Payloads are immutable once sent. A payload travels by
+	//   - Send's to and Exchange's out are read only during the call:
+	//     the caller may reuse their backing as soon as it returns.
+	//   - Payloads are immutable once staged. A payload travels by
 	//     reference and may be read by its receiver concurrently with
 	//     the sender's next computation phase, so senders must never
 	//     mutate a payload (or backing arrays it points to) after
-	//     submitting it.
+	//     passing it to Send or Exchange.
 	//
-	// Exchange must be called on the goroutine that runs the protocol, never
-	// from one the protocol starts: on the engine that goroutine is the
-	// process's coroutine, and Exchange parks it.
+	// Send and Exchange must be called on the goroutine that runs the
+	// protocol, never from one the protocol starts: on the engine that
+	// goroutine is the process's coroutine, and Exchange parks it.
 	Exchange(out []Message) []Message
 	// SetSnapshot publishes the process's current protocol state to the
 	// full-information adversary. Honest protocols publish faithfully.
@@ -60,16 +68,16 @@ type Env interface {
 
 // procEnv is the engine's Env: one per pooled coroutine (coro.go), handed
 // to a new process each execution. Besides the Env state it carries the
-// slots a step hands across the coroutine switch — the outbox Exchange
-// yields, and the decision and error of a process that returned.
+// slots a step hands across the coroutine switch — the decision and error
+// of a process that returned.
 type procEnv struct {
-	eng   *engine // nil while the coroutine is pooled
+	eng   *engine     // nil while the coroutine is pooled
+	shard *shardState // the shard stepping this process; its outbox takes the sends
 	id    int
 	round int
 	rand  *rng.Source
 	yield func(done bool) bool
 
-	out      []Message
 	decision int
 	err      error
 }
@@ -82,16 +90,61 @@ func (e *procEnv) T() int            { return e.eng.cfg.T }
 func (e *procEnv) Round() int        { return e.round }
 func (e *procEnv) Rand() *rng.Source { return e.rand }
 
-// Exchange yields the outbox to the stepping goroutine and parks until the
-// next step phase resumes the process, by which time the communication
-// phase has carved its inbox — or until the execution aborts.
+// Send appends one record per target straight into the shard's outbox — at
+// one shard, the round outbox the adversary reads as View.Outbox.
+func (e *procEnv) Send(payload wire.Marshaler, to []int) {
+	if len(to) > 0 {
+		e.stage(payload, wire.BitLen(payload), to)
+	}
+}
+
+// Exchange stages out, then yields to the stepping goroutine and parks
+// until the next step phase resumes the process, by which time the
+// communication phase has carved its inbox — or until the execution aborts.
 func (e *procEnv) Exchange(out []Message) []Message {
-	e.out = out
+	for _, m := range out {
+		if m.From != e.id {
+			if e.shard.err == nil {
+				e.shard.err = fmt.Errorf("sim: process %d forged sender %d", e.id, m.From)
+			}
+			continue
+		}
+		e.stage(m.Payload, m.bits, []int{m.To})
+	}
 	if !e.yield(false) || e.eng.aborting {
 		panic(errAborted)
 	}
 	e.round++
 	return e.eng.inboxes[e.id]
+}
+
+// stage appends one record per target to the shard's outbox, and in the
+// same pass validates each target, counts it per receiver and notes a break
+// of canonical (From, To) order — in a shard stepped in pid order, a target
+// below the sender's previous one.
+func (e *procEnv) stage(payload wire.Marshaler, bits int64, to []int) {
+	st, from := e.shard, e.id
+	out, counts := st.outbox, st.counts
+	last := -1
+	if k := len(out); k > 0 && out[k-1].From == from {
+		last = out[k-1].To
+	}
+	for _, q := range to {
+		if uint(q) >= uint(len(counts)) {
+			if st.err == nil {
+				st.err = fmt.Errorf("sim: process %d sent to invalid target %d", from, q)
+			}
+			continue
+		}
+		if q < last {
+			st.unordered = true
+		}
+		last = q
+		counts[q]++
+		out = append(out, Message{From: from, To: q, Payload: payload, bits: bits})
+	}
+	st.sentBits += bits * int64(len(out)-len(st.outbox))
+	st.outbox = out
 }
 
 func (e *procEnv) SetSnapshot(s any) {
@@ -110,15 +163,4 @@ func Idle(env Env, k int) {
 	for i := 0; i < k; i++ {
 		env.Exchange(nil)
 	}
-}
-
-// PayloadsFrom indexes an inbox by sender. Multiple messages from the same
-// sender in one round keep the last payload (protocols here send at most
-// one message per recipient per round).
-func PayloadsFrom(in []Message) map[int]Message {
-	m := make(map[int]Message, len(in))
-	for _, msg := range in {
-		m[msg.From] = msg
-	}
-	return m
 }

@@ -19,7 +19,8 @@ func orderSensitive(env Env, input int) (int, error) {
 	}
 	acc := env.Rand().Bit()
 	for r := 0; r < 4; r++ {
-		in := env.Exchange(Broadcast(env.ID(), bitPayload{(input + r) % 2}, all))
+		env.Send(bitPayload{(input + r) % 2}, all)
+		in := env.Exchange(nil)
 		for i, m := range in {
 			// Position-weighted mix: any reordering of the inbox
 			// changes acc, so delivery order is pinned exactly.

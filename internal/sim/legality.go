@@ -53,7 +53,7 @@ func (l *Legality) Mask() []bool { return append([]bool(nil), l.corrupted...) }
 // process failure a driver absorbs as an in-model fault — with the budget
 // check of Check.
 func (l *Legality) Corrupt(round, p int) error {
-	_, err := l.checkIntoCleared(round, nil, Action{Corrupt: []int{p}}, nil)
+	_, err := l.checkIntoCleared(round, nil, Action{Corrupt: []int{p}}, nil, nil)
 	return err
 }
 
@@ -86,15 +86,14 @@ func (l *Legality) CheckInto(round int, outbox []Message, act Action, dropped []
 	for i := range dropped {
 		dropped[i] = false
 	}
-	return l.checkIntoCleared(round, outbox, act, dropped)
+	return l.checkIntoCleared(round, outbox, act, dropped, nil)
 }
 
 // checkIntoCleared is CheckInto minus the reset pass: dropped must arrive
-// all-false. CommPhase clears the buffer in per-chunk ranges with the View
-// fill and then runs the (inherently serial — the corrupted set is
-// stateful) validation here, so the O(m) memclear runs chunk-parallel on
-// the engine's shard workers.
-func (l *Legality) checkIntoCleared(round int, outbox []Message, act Action, dropped []bool) (int, error) {
+// all-false. CommPhase keeps its mask that way between phases by unmarking
+// only the indices each action dropped, so a round pays for its drops, not
+// for an O(m) clear. A non-nil onDrop is told each index as it is marked.
+func (l *Legality) checkIntoCleared(round int, outbox []Message, act Action, dropped []bool, onDrop func(idx int)) (int, error) {
 	for _, p := range act.Corrupt {
 		if p < 0 || p >= l.n {
 			return 0, fmt.Errorf("sim: adversary corrupted invalid process %d", p)
@@ -129,6 +128,9 @@ func (l *Legality) checkIntoCleared(round int, outbox []Message, act Action, dro
 		}
 		dropped[idx] = true
 		ndrop++
+		if onDrop != nil {
+			onDrop(idx)
+		}
 	}
 	return ndrop, nil
 }

@@ -39,31 +39,6 @@ func Msg(from, to int, payload wire.Marshaler) Message {
 	return Message{From: from, To: to, Payload: payload, bits: wire.BitLen(payload)}
 }
 
-// Broadcast builds one message per target (targets may include the sender;
-// self-messages are legal and count toward communication, mirroring the
-// model's point-to-point accounting — protocols in this codebase avoid them).
-func Broadcast(from int, payload wire.Marshaler, targets []int) []Message {
-	out := make([]Message, 0, len(targets))
-	bits := wire.BitLen(payload)
-	for _, to := range targets {
-		out = append(out, Message{From: from, To: to, Payload: payload, bits: bits})
-	}
-	return out
-}
-
-// AppendBroadcast is Broadcast into a caller-owned buffer: it appends one
-// message per target to dst and returns the extended slice. Hot paths pass
-// their reused outbox (truncated to length 0) so a steady-state round
-// allocates nothing — legal under the Exchange aliasing contract, which
-// lets senders reuse the out backing after Exchange returns.
-func AppendBroadcast(dst []Message, from int, payload wire.Marshaler, targets []int) []Message {
-	bits := wire.BitLen(payload)
-	for _, to := range targets {
-		dst = append(dst, Message{From: from, To: to, Payload: payload, bits: bits})
-	}
-	return dst
-}
-
 // String renders a message for diagnostics.
 func (m Message) String() string {
 	return fmt.Sprintf("%d->%d (%d bits)", m.From, m.To, m.bits)

@@ -27,10 +27,9 @@ type Orderer[T Addressed] struct {
 // sort.SliceStable produced before. All endpoints must lie in [0, n).
 func (o *Orderer[T]) Sort(msgs []T, n int) {
 	if inOrder(msgs) {
-		// A stable sort of a sorted batch is the identity. The engines
-		// assemble the outbox by ascending sender and protocols emit
-		// ascending targets, so this is the common case: one read pass,
-		// and the scratch below is never allocated.
+		// A stable sort of a sorted batch is the identity: one read pass,
+		// and the scratch below is never allocated. CommPhase learns the
+		// order while the outbox is written and skips even that pass.
 		return
 	}
 	if cap(o.counts) < n {

@@ -99,27 +99,30 @@ func TestMessageBitsMatchWireEncoding(t *testing.T) {
 	}
 }
 
+// TestBroadcastSharesEncodingCost: one Send to several targets stages one
+// record per target, each charged the payload's full wire size.
 func TestBroadcastSharesEncodingCost(t *testing.T) {
 	p := fixedPayload{data: []byte{9, 9}}
-	msgs := Broadcast(3, p, []int{0, 1, 2, 4})
+	log := &outboxLog{inner: NoFaults{}}
+	_, err := Run(Config{N: 5, T: 0, Inputs: make([]int, 5), Seed: 1, Adversary: log},
+		func(env Env, input int) (int, error) {
+			if env.ID() == 3 {
+				env.Send(p, []int{0, 1, 2, 4})
+			}
+			env.Exchange(nil)
+			return 0, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := log.rounds[0]
 	if len(msgs) != 4 {
 		t.Fatalf("got %d messages", len(msgs))
 	}
-	for _, m := range msgs {
-		if m.From != 3 || m.Bits() != 16 {
+	for i, m := range msgs {
+		if m.From != 3 || m.To != []int{0, 1, 2, 4}[i] || m.Bits() != 16 {
 			t.Fatalf("bad message %v", m)
 		}
-	}
-}
-
-func TestPayloadsFrom(t *testing.T) {
-	in := []Message{
-		Msg(2, 0, fixedPayload{[]byte{1}}),
-		Msg(5, 0, fixedPayload{[]byte{2}}),
-	}
-	byFrom := PayloadsFrom(in)
-	if len(byFrom) != 2 || byFrom[2].From != 2 || byFrom[5].From != 5 {
-		t.Fatalf("PayloadsFrom = %v", byFrom)
 	}
 }
 
@@ -136,7 +139,8 @@ func TestCommBitsAccounting(t *testing.T) {
 					targets = append(targets, i)
 				}
 			}
-			env.Exchange(Broadcast(env.ID(), fixedPayload{[]byte{7, 7, 7}}, targets))
+			env.Send(fixedPayload{[]byte{7, 7, 7}}, targets)
+			env.Exchange(nil)
 			return 0, nil
 		})
 	if err != nil {

@@ -19,7 +19,8 @@ func recordBroadcast(t *testing.T, n int, tt int, seed uint64, adv Adversary) *T
 				}
 			}
 			for r := 0; r < 3; r++ {
-				env.Exchange(Broadcast(env.ID(), bitPayload{input}, all))
+				env.Send(bitPayload{input}, all)
+				env.Exchange(nil)
 			}
 			return input, nil
 		})

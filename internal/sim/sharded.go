@@ -15,12 +15,12 @@ import (
 // shard resumes its live processes in pid order, each until its next
 // Exchange or its return — followed by one communication phase. Processes
 // are pooled coroutines (coro.go), so a step is a direct switch rather
-// than a scheduler round trip. At one shard (Shards 0 or 1) the caller's
-// goroutine does all of it: no worker, no channel, every phase a plain
-// call, and the step phase appends straight into the round outbox. With
-// k >= 2 a worker goroutine per shard runs the step phase and, as chunk w
-// of the embedded CommPhase (comm.go), the chunked parts of the
-// communication phase in parallel.
+// than a scheduler round trip; Env.Send appends into the shard's outbox. At
+// one shard (Shards 0 or 1) the caller's goroutine does all of it: no
+// worker, no channel, every phase a plain call, and the shard's outbox is
+// the round outbox. With k >= 2 a worker goroutine per shard runs the step
+// phase and, as chunk w of the embedded CommPhase (comm.go), the chunked
+// parts of the communication phase in parallel.
 //
 // DETERMINISM CONTRACT: every observable output — Result, metrics,
 // transcripts, traces, torture ring dumps — is byte-identical at any shard
@@ -51,20 +51,21 @@ type doneEvent struct {
 type shardTask uint8
 
 const (
-	taskStep  shardTask = iota // resume processes, collect outboxes/dones
-	taskView                   // fill View ranges, clear drop chunks, fold rng
-	taskCount                  // count surviving messages per receiver (chunk)
-	taskFill                   // place survivors, publish own pids' inboxes
+	taskStep shardTask = iota // resume processes, which stage into the shard outbox
+	taskView                  // fill View ranges, fold rng
+	taskFill                  // place survivors, publish own pids' inboxes
 )
 
 // shardState is one shard's scratch, touched by its stepping goroutine
 // during phases and by the coordinator between them.
 type shardState struct {
-	outbox   []Message
-	sentBits int64
-	dones    []doneEvent
-	err      error // first validation error, in pid order
-	panicked any   // a protocol's panic value; the shard stopped stepping
+	outbox    []Message
+	sentBits  int64
+	unordered bool  // some sender named targets out of ascending order
+	counts    []int // messages per receiver: the shard's chunk of CommPhase.counts
+	dones     []doneEvent
+	err       error // first invalid send, in pid order
+	panicked  any   // a protocol's panic value; the shard stopped stepping
 	// randomness partials folded at traced barriers
 	randCalls, randBits int64
 }
@@ -115,14 +116,16 @@ func newEngine(cfg Config, proto Protocol) *engine {
 	// to rng.New(seed, p).
 	srcBacking := rng.NewSources(cfg.Seed, n)
 	s.crew, s.procs = getCrew(n)
-	for p := 0; p < n; p++ {
-		s.sources[p] = &srcBacking[p]
-		s.alive[p] = true
-		env := s.procs[p].env
-		env.eng, env.id, env.round, env.rand = s, p, 0, s.sources[p]
-	}
 	for w := range s.shards {
-		s.shards[w].dones = make([]doneEvent, 0, s.cuts[w+1]-s.cuts[w])
+		st := &s.shards[w]
+		st.counts = s.counts[w*n : (w+1)*n]
+		st.dones = make([]doneEvent, 0, s.cuts[w+1]-s.cuts[w])
+		for p := s.cuts[w]; p < s.cuts[w+1]; p++ {
+			s.sources[p] = &srcBacking[p]
+			s.alive[p] = true
+			env := s.procs[p].env
+			env.eng, env.shard, env.id, env.round, env.rand = s, st, p, 0, s.sources[p]
+		}
 	}
 	if cfg.Trace.Enabled() {
 		s.obs = newObserver(cfg.Trace, s.counters, s.sources)
@@ -151,7 +154,7 @@ func (s *engine) shutdown() {
 			co.next()
 		}
 		env := co.env
-		env.eng, env.rand, env.out, env.err = nil, nil, nil, nil
+		env.eng, env.shard, env.rand, env.err = nil, nil, nil, nil
 	}
 	crews.Put(s.crew)
 	for w := range s.tasks {
@@ -217,17 +220,25 @@ func (s *engine) communicate() error {
 			return err
 		}
 	}
-	// One shard appended straight into its outbox; more concatenate into
-	// the kernel's, keeping its grown capacity round to round.
-	out, bits := s.shards[0].outbox, s.shards[0].sentBits
+	// One shard's outbox is the round outbox; more concatenate into the
+	// kernel's, keeping its grown capacity round to round. Chunk w is
+	// shard w's range, its counts already staged.
+	out := s.shards[0].outbox
 	if len(s.shards) > 1 {
-		out, bits = s.outbox[:0], 0
+		out = s.outbox[:0]
 		for w := range s.shards {
 			out = append(out, s.shards[w].outbox...)
-			bits += s.shards[w].sentBits
 		}
 	}
-	if s.open(s.round, out, bits) {
+	var bits int64
+	ordered := true
+	for w := range s.shards {
+		st := &s.shards[w]
+		bits += st.sentBits
+		ordered = ordered && !st.unordered
+		s.chunks[w+1] = s.chunks[w] + len(st.outbox)
+	}
+	if s.open(s.round, out, bits, ordered) {
 		s.runPhase(taskView)
 		ndrop, err := s.judge()
 		if err != nil {
@@ -246,9 +257,9 @@ func (s *engine) communicate() error {
 			s.obs.roundEnd(s.round, out, int64(ndrop), s.alive)
 		}
 	}
-	s.runPhase(taskCount)
 	s.cursors()
 	s.runPhase(taskFill)
+	s.unmark()
 	return nil
 }
 
@@ -285,26 +296,25 @@ func (s *engine) runTask(w int, t shardTask) {
 			st := &s.shards[w]
 			st.randCalls, st.randBits = rng.Sum(s.sources[s.cuts[w]:s.cuts[w+1]]...)
 		}
-	case taskCount:
-		s.countChunk(w)
 	case taskFill:
 		s.fillChunk(w)
 	}
 }
 
 // stepShard advances every live process of shard w by one local
-// computation phase, strictly in pid order: one next() runs the process
-// until it yields its outbox from Exchange or returns. Outboxes are
-// validated and accumulated into the shard scratch in pid order. A
-// protocol panic stops the shard; the dead coroutine is dropped from the
-// crew (never reused) and the value goes to Run's caller.
+// computation phase, strictly in pid order: one next() runs the process,
+// staging its sends, until it yields from Exchange or returns; a return cuts
+// back what it staged, and the error it may have left. A protocol panic
+// stops the shard; the dead coroutine is dropped from the crew (never
+// reused) and the value goes to Run's caller.
 func (s *engine) stepShard(w int) {
 	st := &s.shards[w]
-	out := st.outbox[:0]
-	var bits int64
+	st.outbox = st.outbox[:0]
+	st.sentBits = 0
+	st.unordered = false
+	clear(st.counts)
 	st.dones = st.dones[:0]
 	st.err = nil
-	n := s.cfg.N
 	p, hi := s.cuts[w], s.cuts[w+1]
 	defer func() {
 		if r := recover(); r != nil {
@@ -318,27 +328,14 @@ func (s *engine) stepShard(w int) {
 			continue
 		}
 		co := &s.procs[p]
+		mark, bits, unordered, err := len(st.outbox), st.sentBits, st.unordered, st.err
 		if done, _ := co.next(); done {
+			for _, m := range st.outbox[mark:] {
+				st.counts[m.To]--
+			}
+			st.outbox, st.sentBits, st.unordered, st.err = st.outbox[:mark], bits, unordered, err
 			s.alive[p] = false
 			st.dones = append(st.dones, doneEvent{pid: p, decision: co.env.decision, err: co.env.err})
-			continue
-		}
-		if st.err != nil {
-			continue // round is aborting; keep stepping so the phase completes
-		}
-		for _, m := range co.env.out {
-			if m.From != p {
-				st.err = fmt.Errorf("sim: process %d forged sender %d", p, m.From)
-				break
-			}
-			if m.To < 0 || m.To >= n {
-				st.err = fmt.Errorf("sim: process %d sent to invalid target %d", p, m.To)
-				break
-			}
-			out = append(out, m)
-			bits += m.Bits()
 		}
 	}
-	st.outbox = out
-	st.sentBits = bits
 }

@@ -26,9 +26,9 @@ func TestShardedRoundAllocationBudget(t *testing.T) {
 						targets = append(targets, i)
 					}
 				}
-				out := Broadcast(env.ID(), bitPayload{1}, targets)
 				for r := 0; r < rounds; r++ {
-					env.Exchange(out)
+					env.Send(bitPayload{1}, targets)
+					env.Exchange(nil)
 				}
 				return 0, nil
 			}
@@ -60,7 +60,7 @@ func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 			adv  Adversary
 		}{{"fast", nil}, {"full", passThrough{}}} {
 			for _, shards := range []int{1, 4} {
-				if perRound := steadyStateRoundAllocs(t, n, shards, base, tc.adv); perRound > steadyAllocTolerance {
+				if perRound := steadyStateRoundAllocs(t, n, shards, base, tc.adv, sparseSends); perRound > steadyAllocTolerance {
 					t.Errorf("n=%d %s path, shards=%d: %.2f allocs per steady-state round, want 0",
 						n, tc.name, shards, perRound)
 				}

@@ -32,7 +32,8 @@ func staggeredProto(env Env, input int) (int, error) {
 	for i := range all {
 		all[i] = i
 	}
-	env.Exchange(Broadcast(env.ID(), bitPayload{input}, all))
+	env.Send(bitPayload{input}, all)
+	env.Exchange(nil)
 	Idle(env, env.ID()%4)
 	return input, nil
 }

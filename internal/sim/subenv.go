@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"omicon/internal/rng"
+	"omicon/internal/wire"
 )
 
 // SubEnv presents a relabeled subset of processes as a complete environment,
@@ -14,12 +15,12 @@ import (
 // non-members arriving in the same rounds is discarded (non-members are idle
 // by construction of the round-robin schedule).
 //
-// Exchange translates into two buffers the SubEnv owns and reuses every
-// round, which is exactly what the Env.Exchange aliasing contract grants:
-// the parent copies the outgoing messages before it resumes the sender,
-// and a returned inbox is valid only until the caller's next Exchange. The
-// caller's out slice is never written, and neither is the parent's inbox
-// — that arena belongs to the engine.
+// Send and Exchange translate into buffers the SubEnv owns and reuses,
+// which is exactly what the Env.Exchange aliasing contract grants: the
+// parent reads targets and outgoing messages only during the call, and a
+// returned inbox is valid only until the caller's next Exchange. The
+// caller's slices are never written, and neither is the parent's inbox —
+// that arena belongs to the engine.
 type SubEnv struct {
 	parent  Env
 	members []int       // sorted global ids
@@ -28,7 +29,8 @@ type SubEnv struct {
 	t       int         // sub-budget exposed to the protocol
 	round   int
 
-	translated []Message // reused: this round's outbox under global ids
+	targets    []int     // reused: one Send's targets under global ids
+	translated []Message // reused: an Exchange's outbox under global ids
 	localIn    []Message // reused: this round's inbox under local ids
 }
 
@@ -79,6 +81,18 @@ func (s *SubEnv) SetSnapshot(v any) { s.parent.SetSnapshot(v) }
 // Span implements Env, forwarding to the parent so cost spent inside the
 // group is attributed to the enclosing execution's span stack.
 func (s *SubEnv) Span(name string) func() { return s.parent.Span(name) }
+
+// Send implements Env, translating the targets; a target outside the group
+// is dropped, as Exchange drops it.
+func (s *SubEnv) Send(payload wire.Marshaler, to []int) {
+	s.targets = s.targets[:0]
+	for _, q := range to {
+		if q >= 0 && q < len(s.members) {
+			s.targets = append(s.targets, s.members[q])
+		}
+	}
+	s.parent.Send(payload, s.targets)
+}
 
 // Exchange implements Env, translating identifiers both ways.
 func (s *SubEnv) Exchange(out []Message) []Message {

@@ -5,16 +5,19 @@ import (
 	"testing"
 
 	"omicon/internal/rng"
+	"omicon/internal/wire"
 )
 
 // stubEnv is a parent Env for driving a SubEnv without an engine. It keeps
-// the engine's side of the Exchange aliasing contract: it copies out before
-// returning, and it hands back one arena that the next Exchange overwrites.
+// the engine's side of the Exchange aliasing contract: it copies targets
+// and out during the call, and it hands back one arena that the next
+// Exchange overwrites.
 type stubEnv struct {
-	id, n int
-	sent  []Message // copy of the last outbox
-	inbox []Message // what the next Exchange delivers
-	arena []Message // backing of the returned inbox, reused every round
+	id, n  int
+	staged []Message // what Send staged since the last Exchange
+	sent   []Message // the last Exchange's outbox: the staged sends, then out
+	inbox  []Message // what the next Exchange delivers
+	arena  []Message // backing of the returned inbox, reused every round
 }
 
 func (e *stubEnv) ID() int           { return e.id }
@@ -27,8 +30,15 @@ func (e *stubEnv) Span(string) func() {
 	return func() {}
 }
 
+func (e *stubEnv) Send(payload wire.Marshaler, to []int) {
+	for _, q := range to {
+		e.staged = append(e.staged, Msg(e.id, q, payload))
+	}
+}
+
 func (e *stubEnv) Exchange(out []Message) []Message {
-	e.sent = append(e.sent[:0], out...)
+	e.sent = append(append(e.sent[:0], e.staged...), out...)
+	e.staged = e.staged[:0]
 	e.arena = append(e.arena[:0], e.inbox...)
 	return e.arena
 }
@@ -83,5 +93,31 @@ func TestSubEnvExchangeBuffers(t *testing.T) {
 	// An idle round sends nothing and still translates what arrives.
 	if in := sub.Exchange(nil); len(parent.sent) != 0 || !reflect.DeepEqual(in, wantIn) {
 		t.Fatalf("idle round: parent received %v, inbox %v", parent.sent, in)
+	}
+}
+
+// TestSubEnvSendTranslation: Send translates local targets to global ids
+// and drops the ones outside the group, as Exchange drops them; what it
+// staged goes out ahead of Exchange's out, and the caller's targets are
+// never written.
+func TestSubEnvSendTranslation(t *testing.T) {
+	parent := &stubEnv{id: 4, n: 9}
+	sub := NewSubEnv(parent, []int{7, 2, 4}, 0)
+	to := []int{2, -1, 0, 3}
+	for round := 1; round <= 2; round++ {
+		sub.Send(bitPayload{5}, to)
+		sub.Send(bitPayload{6}, []int{1})
+		sub.Exchange([]Message{Msg(1, 0, bitPayload{7})})
+		want := []Message{
+			Msg(4, 7, bitPayload{5}), Msg(4, 2, bitPayload{5}),
+			Msg(4, 4, bitPayload{6}),
+			Msg(4, 2, bitPayload{7}),
+		}
+		if !reflect.DeepEqual(parent.sent, want) {
+			t.Fatalf("round %d: parent received %v, want %v", round, parent.sent, want)
+		}
+		if !reflect.DeepEqual(to, []int{2, -1, 0, 3}) {
+			t.Fatalf("round %d: caller's targets were written: %v", round, to)
+		}
 	}
 }

@@ -20,7 +20,8 @@ func runRecorded(t *testing.T, seed uint64) *Transcript {
 				}
 			}
 			for r := 0; r < 3; r++ {
-				env.Exchange(Broadcast(env.ID(), bitPayload{input}, all))
+				env.Send(bitPayload{input}, all)
+				env.Exchange(nil)
 			}
 			return input, nil
 		})

@@ -60,6 +60,7 @@ type Node struct {
 	counters *metrics.Counters
 	round    int
 	err      error
+	batch    []batchEntry // staged since the last Exchange, one entry per target
 
 	// jitter is a private splitmix64 stream for backoff jitter; it is
 	// deliberately not the metered protocol source (reconnect timing
@@ -255,19 +256,33 @@ func (nd *Node) sendFinal(frame []byte) error {
 	}
 }
 
-// Exchange implements sim.Env: it ships the outgoing batch, blocks for
-// the coordinator's delivery, and reconstructs payloads via the registry.
-// Transport failures unwind the protocol via panic(errNodeAborted), which
-// RunProtocol recovers into an error.
-func (nd *Node) Exchange(out []sim.Message) []sim.Message {
-	entries := make([]batchEntry, 0, len(out))
-	for _, m := range out {
-		typed, ok := m.Payload.(wire.Typed)
-		if !ok {
-			nd.abort(fmt.Errorf("transport: payload %T lacks a wire kind", m.Payload))
-		}
-		entries = append(entries, batchEntry{to: m.To, frame: wire.EncodeFrame(nil, typed)})
+// Send implements sim.Env: it encodes payload's frame once and stages one
+// batch entry per target for the next Exchange.
+func (nd *Node) Send(payload wire.Marshaler, to []int) {
+	if len(to) == 0 {
+		return
 	}
+	typed, ok := payload.(wire.Typed)
+	if !ok {
+		nd.abort(fmt.Errorf("transport: payload %T lacks a wire kind", payload))
+	}
+	frame := wire.EncodeFrame(nil, typed)
+	for _, q := range to {
+		nd.batch = append(nd.batch, batchEntry{to: q, frame: frame})
+	}
+}
+
+// Exchange implements sim.Env: it ships the staged batch with out's
+// messages at its end, blocks for the coordinator's delivery, and
+// reconstructs payloads via the registry. Transport failures unwind the
+// protocol via panic(errNodeAborted), which RunProtocol recovers into an
+// error.
+func (nd *Node) Exchange(out []sim.Message) []sim.Message {
+	for _, m := range out {
+		nd.Send(m.Payload, []int{m.To})
+	}
+	entries := nd.batch
+	nd.batch = nd.batch[:0]
 	// Bits are accounted once per logical send; a retransmission after a
 	// reconnect is a transport artifact, visible in Retries, not a second
 	// in-model message.

@@ -38,7 +38,8 @@ func BenchmarkTCPRoundThroughput(b *testing.B) {
 			}
 		}
 		for r := 0; r < rounds; r++ {
-			env.Exchange(sim.Broadcast(env.ID(), phaseking.ValueMsg{V: 1}, targets))
+			env.Send(phaseking.ValueMsg{V: 1}, targets)
+			env.Exchange(nil)
 		}
 		return 0, nil
 	}
