@@ -99,7 +99,8 @@ func BenchmarkTable1Thm3(b *testing.B) {
 // adversary. The cleanest empirical signature of Omega(t / sqrt(n log n))
 // at simulation scale is linear growth in t at fixed n (the per-epoch
 // deviation the adversary must cancel is Theta(sqrt(n)), so its budget
-// lasts ~t/sqrt(n) epochs); the n-sweep companion lives in cmd/tradeoff.
+// lasts ~t/sqrt(n) epochs); `go run ./cmd/paper -only E3` prints the same
+// t-sweep as a table.
 func BenchmarkTable1LowerBoundBJBO(b *testing.B) {
 	n := 128
 	for _, t := range []int{8, 16, 32, 48} {

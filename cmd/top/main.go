@@ -1,6 +1,7 @@
 // Command top renders a refreshing one-screen view of a running
-// campaign from its coordinator's /statusz endpoint (cmd/torture or
-// cmd/sweep started with -status-addr; see docs/OBSERVABILITY.md):
+// campaign from its coordinator's /statusz endpoint (cmd/torture,
+// cmd/tournament or cmd/paper started with -status-addr; see
+// docs/OBSERVABILITY.md):
 // campaign progress with rate and ETA, and the per-worker table with
 // heartbeat ages, in-flight jobs and piggybacked job counts.
 //

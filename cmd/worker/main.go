@@ -1,8 +1,8 @@
 // Command worker is a campaign trial worker: it connects to a
-// coordinator (cmd/torture -listen or cmd/sweep -listen), executes the
-// trials it is handed through the standard executor registry, and
-// streams results back, heartbeating so the coordinator detects a crash
-// by deadline. Reconnects use bounded exponential backoff with jitter;
+// coordinator (cmd/torture, cmd/tournament or cmd/paper with -listen),
+// executes the trials it is handed through the standard executor
+// registry, and streams results back, heartbeating so the coordinator
+// detects a crash by deadline. Reconnects use bounded exponential backoff with jitter;
 // -connect-file re-reads the address every attempt so a restarted
 // coordinator on a fresh port is found (docs/DISTRIBUTED.md).
 //

@@ -18,10 +18,10 @@ func TestCommandSmoke(t *testing.T) {
 	bin := t.TempDir()
 	transcript := filepath.Join(bin, "run.json")
 	traceFile := filepath.Join(bin, "run.trace.jsonl")
-	benchJSON := filepath.Join(bin, "BENCH_sweep.json")
 	walFile := filepath.Join(bin, "campaign.wal")
 	tournamentWal := filepath.Join(bin, "tournament.wal")
-	sweepWal := filepath.Join(bin, "sweep.wal")
+	paperWal := filepath.Join(bin, "paper.wal")
+	paperOut := [2]string{filepath.Join(bin, "report.md"), filepath.Join(bin, "report-resumed.md")}
 	flightRec := filepath.Join(bin, "flightrec.jsonl")
 	promFile := filepath.Join(bin, "scrape.prom")
 	promText := "# HELP omicon_smoke_total smoke counter\n# TYPE omicon_smoke_total counter\nomicon_smoke_total 5\n"
@@ -52,16 +52,11 @@ func TestCommandSmoke(t *testing.T) {
 		// No workers ever join: the pool degrades to in-process execution
 		// and every command prints the dispatch summary on exit.
 		{"tournament", []string{"-trials", "1", "-protocols", "phaseking", "-adversaries", "late", "-q", "-workers", "4", "-out", filepath.Join(bin, "tournament-out"), "-listen", "127.0.0.1:0", "-remote-wait", "100ms"}, "distrib: 0 dispatched (0 re-dispatched, 0 quarantined, 4 local)", 0},
-		{"sweep", []string{"-sizes", "64", "-seeds", "1", "-json", benchJSON}, "wrote " + benchJSON, 0},
-		{"sweep", []string{"-sizes", "64", "-seeds", "1", "-journal", sweepWal}, "worst adversary", 0},
-		{"sweep", []string{"-sizes", "64", "-seeds", "1", "-journal", sweepWal, "-resume"}, "ran 0 live", 0},
-		{"sweep", []string{"64", "128"}, "unexpected arguments [64 128]", 1},
-		{"tradeoff", []string{"-mode", "param", "-n", "64", "-x", "1,4", "-seeds", "1"}, "Thm 3", 0},
-		{"tradeoff", []string{"-mode", "lower", "-n", "32", "-t", "8", "-caps", "0,4", "-seeds", "1"}, "Thm 2", 0},
-		{"coingame", []string{"-k", "16", "-alpha", "0.5", "-trials", "100"}, "Lemma 12", 0},
-		{"graphcheck", []string{"-n", "64"}, "Theorem 4", 0},
-		{"epochs", []string{"-n", "36", "-t", "1", "-seeds", "2"}, "Figure 3", 0},
-		{"valency", []string{"-n", "3"}, "Lemma 13", 0},
+		{"paper", []string{"-quick", "-only", "E1", "-journal", paperWal, "-out", paperOut[0]}, "worst adversary", 0},
+		{"paper", []string{"-quick", "-only", "E1", "-journal", paperWal, "-resume", "-out", paperOut[1]}, "ran 0 live", 0},
+		{"paper", []string{"-only", "E9"}, "valid: E1, E2, E3, E5, E6, F1, F3, T4, L13, SEP", 1},
+		{"paper", []string{"E1"}, "unexpected arguments [E1]", 1},
+		{"paper", []string{"-quick", "-only", "L13,F1"}, "Lemma 13 witnesses", 0},
 		{"netdemo", []string{"-role", "local", "-n", "8", "-t", "1", "-algo", "phaseking"}, "agreement   : true", 0},
 		{"netdemo", []string{"-role", "local", "-n", "12", "-t", "2", "-algo", "earlystop", "-adversary", "static-crash"}, "agreement   : true", 0},
 		{"paper", []string{"-quick"}, "All experiments completed", 0},
@@ -87,6 +82,16 @@ func TestCommandSmoke(t *testing.T) {
 		if !strings.Contains(string(out), c.marker) {
 			t.Fatalf("%s %v: output missing %q:\n%s", c.name, c.args, c.marker, out)
 		}
+	}
+
+	// The resumed report replays every trial from the journal and must
+	// equal the live one byte for byte.
+	live, err := os.ReadFile(paperOut[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed, err := os.ReadFile(paperOut[1]); err != nil || string(resumed) != string(live) {
+		t.Fatalf("paper -resume: report differs from the live run (err %v):\n%s\n---\n%s", err, resumed, live)
 	}
 
 	// cmd/chaos needs a campaign binary as its child, so it smokes after

@@ -1,5 +1,5 @@
 // Package campaigncli is the process harness the campaign commands
-// (cmd/torture, cmd/tournament, cmd/sweep) share: one flag bundle and one
+// (cmd/torture, cmd/tournament, cmd/paper) share: one flag bundle and one
 // session wiring workers, shards, journal, distributed dispatch, telemetry
 // plane, trace sink and signal handling, so each command keeps only its own
 // flags, its Options literal, its output and its exit-code mapping. It sits
@@ -46,7 +46,8 @@ func ExitCode(err error, fallback int) int {
 
 // statusSeries names, per program, the /statusz campaign kind and the
 // metric families (docs/OBSERVABILITY.md catalog) its progress block is
-// read from; "" reads as zero.
+// read from; "" reads as zero. paper's block counts E1's Theorem-1
+// samples.
 var statusSeries = map[string]struct {
 	kind, target, done, violations, failed, quarantined, resumed string
 }{
@@ -56,7 +57,7 @@ var statusSeries = map[string]struct {
 	"tournament": {"tournament", "omicon_tournament_trials_target", "omicon_tournament_trials_total",
 		"omicon_tournament_losses_total", "omicon_tournament_unexpected_losses_total",
 		"", "omicon_tournament_resumed_total"},
-	"sweep": {"sweep-thm1", "omicon_sweep_samples_target", "omicon_sweep_samples_total",
+	"paper": {"sweep-thm1", "omicon_sweep_samples_target", "omicon_sweep_samples_total",
 		"", "", "", "omicon_sweep_resumed_total"},
 }
 
@@ -90,7 +91,7 @@ type Session struct {
 }
 
 // Register declares the shared flags on the default flag set for program
-// ("torture", "tournament", "sweep"); traced adds -trace for commands whose
+// ("torture", "tournament", "paper"); traced adds -trace for commands whose
 // driver takes a tracer.
 func Register(program string, traced bool) *Session {
 	s := &Session{program: program}

@@ -1,9 +1,8 @@
 // Package experiments implements the reproducible experiment runners
 // behind Table 1 of the paper (experiment ids E1-E4 of DESIGN.md). The
-// command-line generators (cmd/sweep, cmd/tradeoff) and the benchmark
-// harness are thin wrappers over these functions, so the experiment logic
-// itself is unit-tested; E5/E6 live in internal/lowerbound and
-// internal/coinflip.
+// report generator (cmd/paper) and the benchmark harness are thin
+// wrappers over these functions, so the experiment logic itself is
+// unit-tested; E5/E6 live in internal/lowerbound and internal/coinflip.
 package experiments
 
 import (
@@ -302,17 +301,6 @@ func Thm1Trial(n int, seed uint64, shards int) (*sim.Result, error) {
 		return nil, fmt.Errorf("experiments: n=%d trial: consensus violated: %w", n, cerr)
 	}
 	return res, nil
-}
-
-// Thm1Sweep measures OptimalOmissionsConsensus at maximal fault load
-// across sizes, taking the worst case over the adversary portfolio.
-// Consensus violations are returned as errors (they are protocol bugs).
-func Thm1Sweep(sizes []int, seeds int, baseSeed uint64, ex Exec) ([]Thm1Point, error) {
-	cells, err := Thm1Detailed(sizes, seeds, baseSeed, ex)
-	if err != nil {
-		return nil, err
-	}
-	return Worst(cells), nil
 }
 
 // Worst reduces detailed cells to the worst-case Thm1Points: max rounds

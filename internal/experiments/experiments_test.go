@@ -28,10 +28,11 @@ func TestThm1SweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow; run without -short")
 	}
-	pts, err := Thm1Sweep([]int{64, 128}, 1, 5, Exec{})
+	cells, err := Thm1Detailed([]int{64, 128}, 1, 5, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := Worst(cells)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points", len(pts))
 	}

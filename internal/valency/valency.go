@@ -42,6 +42,47 @@ type Protocol interface {
 // Omitted marks a dropped (or self) slot in the received vector.
 const Omitted = -1
 
+// Majority is the toy protocol of the FLP/Lemma-13 intuition, run for the
+// given number of rounds: states are candidate bits, each round every
+// process adopts the majority of the bits it saw (its own included; ties
+// keep the current bit), and the final state is the decision.
+type Majority int
+
+// Init implements Protocol.
+func (Majority) Init(input int) int { return input }
+
+// Step implements Protocol.
+func (Majority) Step(self, state int, received []int) int {
+	ones, zeros := 0, 0
+	if state == 1 {
+		ones++
+	} else {
+		zeros++
+	}
+	for _, r := range received {
+		switch r {
+		case 1:
+			ones++
+		case 0:
+			zeros++
+		}
+	}
+	switch {
+	case ones > zeros:
+		return 1
+	case zeros > ones:
+		return 0
+	default:
+		return state
+	}
+}
+
+// Decide implements Protocol.
+func (Majority) Decide(state int) int { return state }
+
+// Rounds implements Protocol.
+func (m Majority) Rounds() int { return int(m) }
+
 // Valence is the decision set reachable from a state under some strategy.
 type Valence int
 

@@ -5,48 +5,9 @@ import (
 	"testing"
 )
 
-// majorityProtocol is the toy protocol of the FLP/Lemma-13 intuition:
-// states are candidate bits, each round every process adopts the majority
-// of the bits it saw (its own included; ties keep the current bit), and
-// the final state is the decision.
-type majorityProtocol struct {
-	rounds int
-}
-
-func (majorityProtocol) Init(input int) int { return input }
-
-func (majorityProtocol) Step(self, state int, received []int) int {
-	ones, zeros := 0, 0
-	if state == 1 {
-		ones++
-	} else {
-		zeros++
-	}
-	for _, r := range received {
-		switch r {
-		case 1:
-			ones++
-		case 0:
-			zeros++
-		}
-	}
-	switch {
-	case ones > zeros:
-		return 1
-	case zeros > ones:
-		return 0
-	default:
-		return state
-	}
-}
-
-func (majorityProtocol) Decide(state int) int { return state }
-
-func (p majorityProtocol) Rounds() int { return p.rounds }
-
 func TestValidityEdgesAreUnivalent(t *testing.T) {
 	for _, n := range []int{3, 4} {
-		a := NewAnalyzer(majorityProtocol{rounds: 2}, n, 0)
+		a := NewAnalyzer(Majority(2), n, 0)
 		zeros := make([]int, n)
 		if v := a.Classify(zeros); v != ZeroValent {
 			t.Fatalf("n=%d all-zero inputs: %v", n, v)
@@ -65,7 +26,7 @@ func TestValidityEdgesAreUnivalent(t *testing.T) {
 // exactly one execution, so every assignment is univalent.
 func TestFaultFreeMajorityIsDetermined(t *testing.T) {
 	n := 3
-	a := NewAnalyzer(majorityProtocol{rounds: 1}, n, -1)
+	a := NewAnalyzer(Majority(1), n, -1)
 	for mask := 0; mask < 1<<n; mask++ {
 		inputs := make([]int, n)
 		for i := range inputs {
@@ -82,7 +43,7 @@ func TestFaultFreeMajorityIsDetermined(t *testing.T) {
 // the majority protocol to either decision.
 func TestOmissionsCreateBivalence(t *testing.T) {
 	n := 3
-	a := NewAnalyzer(majorityProtocol{rounds: 1}, n, 1)
+	a := NewAnalyzer(Majority(1), n, 1)
 	inputs := []int{1, 1, 0}
 	d := a.ReachableDecisions(inputs)
 	if !d[0] || !d[1] {
@@ -100,7 +61,7 @@ func TestLemma13WitnessExists(t *testing.T) {
 	for _, n := range []int{3, 4} {
 		for corrupted := 0; corrupted < n; corrupted++ {
 			for _, rounds := range []int{1, 2} {
-				a := NewAnalyzer(majorityProtocol{rounds: rounds}, n, corrupted)
+				a := NewAnalyzer(Majority(rounds), n, corrupted)
 				inputs, pivot, found := a.Lemma13Witness()
 				if !found {
 					t.Fatalf("n=%d corrupted=%d rounds=%d: no Lemma 13 witness", n, corrupted, rounds)
@@ -122,7 +83,7 @@ func TestLemma13WitnessExists(t *testing.T) {
 func TestMoreRoundsShrinkBivalence(t *testing.T) {
 	n := 3
 	count := func(rounds int) int {
-		a := NewAnalyzer(majorityProtocol{rounds: rounds}, n, 1)
+		a := NewAnalyzer(Majority(rounds), n, 1)
 		c := 0
 		for mask := 0; mask < 1<<n; mask++ {
 			inputs := make([]int, n)
@@ -150,7 +111,7 @@ func TestValenceString(t *testing.T) {
 }
 
 func ExampleAnalyzer_Classify() {
-	a := NewAnalyzer(majorityProtocol{rounds: 1}, 3, 1)
+	a := NewAnalyzer(Majority(1), 3, 1)
 	fmt.Println(a.Classify([]int{0, 0, 0}))
 	fmt.Println(a.Classify([]int{1, 1, 0}))
 	// Output:
