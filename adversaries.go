@@ -51,8 +51,9 @@ type Transcript = sim.Transcript
 
 // Recorded wraps an adversary (nil = fault-free) so the execution fills a
 // Transcript: per-round message/bit counts, corruptions, omissions and
-// termination progress. Use the transcript for debugging, determinism
-// checks (Transcript.Equal) or JSON export (Transcript.WriteJSON).
+// termination progress. Use the transcript for debugging or JSON export
+// (Transcript.WriteJSON); two executions are the same exactly when their
+// encodings are byte-identical.
 func Recorded(inner Adversary) (Adversary, *Transcript) {
 	return sim.NewRecorder(inner)
 }

@@ -1,25 +1,29 @@
-// Command replay analyzes a recorded execution transcript (produced with
-// `omicon -record file.json`): decision latency, corruption timeline,
-// omission pressure and activity segmentation — without re-running the
-// execution.
+// Command replay analyzes a recorded execution — a transcript written by
+// `omicon -record file.json` or a torture corpus entry — and prints its
+// decision latency, corruption timeline, omission pressure and activity
+// segmentation, without re-running the execution.
 //
-// With -verify it additionally re-executes the transcript: the recorded
-// schedule is replayed through a schedule adversary against a freshly
-// built protocol instance, and the resulting transcript must match the
-// recorded one byte for byte. Verification needs the action-level replay
-// metadata of version-1 transcripts; older aggregate-only transcripts
-// still analyze fine but cannot be re-executed.
+// With -verify it also re-executes the artifact (torture.Replay): the
+// recorded schedule is replayed strictly against a freshly built protocol
+// instance, and the fresh transcript must match the recorded one byte for
+// byte; a corpus entry must also reproduce its recorded violation kind.
+// Verification needs the action-level replay metadata of version-1
+// transcripts; older aggregate-only transcripts still analyze fine but
+// cannot be re-executed.
+//
+//	replay run.json
+//	replay -verify -shards 4 run.json
+//	replay -verify .torture-corpus/torture-floodset-....json
+//
+// Exit status: 0 on success, 1 on a failed verification or any error.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"omicon/internal/analysis"
-	"omicon/internal/sim"
 	"omicon/internal/torture"
 )
 
@@ -31,87 +35,57 @@ func main() {
 }
 
 func run() error {
-	verify := flag.Bool("verify", false, "re-execute the transcript and require a byte-identical recording")
-	flag.IntVar(&shardsFlag, "shards", 0, "simulator shards for -verify (0 = one, stepped on the calling goroutine; -1 = one worker per GOMAXPROCS; k = k shard workers); the replay must match at every count")
+	verify := flag.Bool("verify", false, "re-execute the artifact and require a byte-identical transcript")
+	shards := flag.Int("shards", 0, "simulator shards for -verify (0 = one, stepped on the calling goroutine; -1 = one worker per GOMAXPROCS; k = k shard workers); the replay must match at every count")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		return fmt.Errorf("usage: replay [-verify] <transcript.json>")
+		return fmt.Errorf("usage: replay [-verify] [-shards k] <transcript.json | corpus-entry.json>")
 	}
-	data, err := os.ReadFile(flag.Arg(0))
+	path := flag.Arg(0)
+	e, err := torture.LoadArtifact(path)
 	if err != nil {
 		return err
 	}
 
-	var tr sim.Transcript
-	if err := json.Unmarshal(data, &tr); err != nil {
-		return fmt.Errorf("decode transcript: %w", err)
+	tr, kind := e.Transcript, "transcript"
+	if len(e.Violations) > 0 {
+		kind = "corpus entry"
 	}
-	if tr.Version > sim.TranscriptVersion {
-		return fmt.Errorf("transcript version %d is newer than this build understands (%d)",
-			tr.Version, sim.TranscriptVersion)
-	}
-	fmt.Printf("transcript %s: n=%d t=%d", flag.Arg(0), tr.N, tr.T)
+	fmt.Printf("%s %s: n=%d t=%d", kind, path, tr.N, tr.T)
 	if tr.Version >= 1 {
 		fmt.Printf(" v%d protocol=%s adversary=%s seed=%d", tr.Version, tr.Protocol, tr.Adversary, tr.Seed)
 	} else {
 		fmt.Printf(" (legacy aggregate-only format)")
 	}
-	fmt.Printf("\n\n")
-	fmt.Print(analysis.Analyze(&tr).Report())
+	fmt.Println()
+	for _, v := range e.Violations {
+		fmt.Printf("  recorded %s\n", v)
+	}
+	fmt.Println()
+	fmt.Print(analysis.Analyze(tr).Report())
 
 	if !*verify {
 		return nil
 	}
-	if !tr.HasReplayMeta() {
-		return fmt.Errorf("-verify needs replay metadata (protocol, seed, inputs); " +
-			"this transcript predates the action-level format — re-record it with the current build")
-	}
-	return verifyTranscript(&tr)
-}
-
-// shardsFlag selects the execution mode used by -verify re-executions.
-var shardsFlag int
-
-// verifyTranscript re-executes the recorded schedule and diffs the fresh
-// recording against the original.
-func verifyTranscript(tr *sim.Transcript) error {
-	spec, err := torture.FindProtocol(tr.Protocol)
+	res, err := torture.Replay(e, *shards)
 	if err != nil {
 		return err
 	}
-	proto, bound, err := spec.Build(tr.N, tr.T)
-	if err != nil {
-		return fmt.Errorf("rebuilding %s for n=%d t=%d: %w", tr.Protocol, tr.N, tr.T, err)
-	}
-	adv := sim.NewStrictScheduleAdversary(tr.Schedule())
-	rec, fresh := sim.NewRecorder(adv)
-	_, runErr := sim.Run(sim.Config{
-		N: tr.N, T: tr.T, Inputs: tr.Inputs, Seed: tr.Seed, Adversary: rec,
-		MaxRounds: bound + 64,
-		Shards:    shardsFlag,
-	}, proto)
-	fresh.Protocol = tr.Protocol
-	fresh.Seed = tr.Seed
-	fresh.Inputs = append([]int(nil), tr.Inputs...)
-	// The replay necessarily runs under the schedule adversary's name;
-	// everything else must match exactly.
-	fresh.Adversary = tr.Adversary
-
-	var want, got bytes.Buffer
-	if err := tr.WriteJSON(&want); err != nil {
-		return err
-	}
-	if err := fresh.WriteJSON(&got); err != nil {
-		return err
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+	switch {
+	case len(e.Violations) > 0 && !res.Reproduced:
+		return fmt.Errorf("verification FAILED: the recorded %s violation did not reproduce (replay found %v)",
+			e.Violations[0].Kind, res.Verdict.Violations)
+	case !res.ByteIdentical:
 		return fmt.Errorf("verification FAILED: replayed transcript diverges from the recording\n"+
-			"  recorded: %s\n  replayed: %s", tr.Summary(), fresh.Summary())
+			"  recorded: %s\n  replayed: %s", tr.Summary(), res.Transcript.Summary())
 	}
-	fmt.Printf("\nverify: OK — %d rounds replayed byte-identically", len(fresh.Rounds))
-	if runErr != nil {
-		fmt.Printf(" (execution aborts identically: %v)", runErr)
+	fmt.Printf("\nverify: OK — %d rounds replayed byte-identically", len(res.Transcript.Rounds))
+	if res.RunErr != nil {
+		fmt.Printf(" (execution aborts identically: %v)", res.RunErr)
 	}
 	fmt.Println()
+	if len(e.Violations) > 0 {
+		fmt.Printf("verify: reproduced the recorded %s violation\n", e.Violations[0].Kind)
+	}
 	return nil
 }

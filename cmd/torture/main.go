@@ -3,12 +3,11 @@
 // (agreement, validity, termination bounds, adversary legality, metrics
 // sanity, transcript determinism) checked after every trial. Failing
 // trials are persisted to a corpus directory as self-contained JSON
-// counterexamples, optionally delta-debugged down to a minimal schedule,
-// and can be re-executed deterministically with -replay.
+// counterexamples, optionally delta-debugged down to a minimal schedule;
+// `replay -verify <entry>` (cmd/replay) re-executes one deterministically.
 //
 //	torture -trials 500 -seed 1 -corpus .torture-corpus -shrink
 //	torture -protocols core,benor -adversaries chaos,sched-fuzz -trials 200
-//	torture -replay .torture-corpus/torture-floodset-....json
 //	torture -inject overbudget -trials 1   # self-test: oracle must fire
 //
 // Observability (see docs/OBSERVABILITY.md): -trace streams every trial's
@@ -33,9 +32,8 @@
 // -addr-file publishes the bound address for -connect-file workers;
 // -workers-remote/-remote-wait control the start-up fleet wait.
 //
-// Exit status: 0 when every trial satisfied the oracle (or the replayed
-// entry reproduced), 1 on violations (or a failed replay), 2 on usage or
-// I/O errors, 130 on interrupt.
+// Exit status: 0 when every trial satisfied the oracle, 1 on violations,
+// 2 on usage or I/O errors, 130 on interrupt.
 package main
 
 import (
@@ -68,7 +66,6 @@ func run() (int, error) {
 		shrinkRuns  = flag.Int("shrink-runs", 200, "max replays the shrinker may spend per failure")
 		determinism = flag.Int("determinism", 10, "re-run every k-th trial and require a byte-identical transcript (0 = off)")
 		inject      = flag.String("inject", "", "deliberate sabotage self-test: overbudget | honest-drop")
-		replay      = flag.String("replay", "", "re-execute one corpus entry instead of running a campaign")
 		quiet       = flag.Bool("q", false, "suppress per-violation log lines")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile after the campaign to this file")
@@ -102,10 +99,6 @@ func run() (int, error) {
 				fmt.Fprintln(os.Stderr, "torture: memprofile:", err)
 			}
 		}()
-	}
-
-	if *replay != "" {
-		return replayEntry(*replay, s.Shards)
 	}
 
 	if err := s.Start(); err != nil {
@@ -146,31 +139,4 @@ func run() (int, error) {
 		return 1, nil
 	}
 	return 0, nil
-}
-
-func replayEntry(path string, shards int) (int, error) {
-	entry, err := torture.LoadEntry(path)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Printf("replaying %s: %s/%s n=%d t=%d seed=%d, recorded violations: %v\n",
-		path, entry.Protocol, entry.Adversary, entry.N, entry.T, entry.Seed, entry.Violations)
-	res, err := torture.ReplayWith(entry, shards)
-	if err != nil {
-		return 2, err
-	}
-	for _, v := range res.Verdict.Violations {
-		fmt.Printf("  %s\n", v)
-	}
-	switch {
-	case !res.Reproduced:
-		fmt.Println("replay: FAILED — the recorded violation did not reproduce")
-		return 1, nil
-	case !res.ByteIdentical:
-		fmt.Println("replay: FAILED — violation reproduced but the transcript diverged")
-		return 1, nil
-	default:
-		fmt.Println("replay: OK — violation reproduced, transcript byte-identical")
-		return 0, nil
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,10 @@ func TestCommandSmoke(t *testing.T) {
 	paperWal := filepath.Join(bin, "paper.wal")
 	paperOut := [2]string{filepath.Join(bin, "report.md"), filepath.Join(bin, "report-resumed.md")}
 	flightRec := filepath.Join(bin, "flightrec.jsonl")
+	corpusDir := filepath.Join(bin, "corpus")
+	// entryArg stands for the corpus entry the floodset campaign writes,
+	// found by globbing corpusDir when its row runs.
+	const entryArg = "{entry}"
 	promFile := filepath.Join(bin, "scrape.prom")
 	promText := "# HELP omicon_smoke_total smoke counter\n# TYPE omicon_smoke_total counter\nomicon_smoke_total 5\n"
 	if err := os.WriteFile(promFile, []byte(promText), 0o644); err != nil {
@@ -47,6 +52,9 @@ func TestCommandSmoke(t *testing.T) {
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-status-addr", "127.0.0.1:0", "-flightrec", flightRec}, "status: serving", 0},
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile}, "50 trials, 0 violations", 0},
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile, "-resume"}, "journal: replayed 50 journaled trials, ran 0 live", 0},
+		{"torture", []string{"-protocols", "floodset", "-adversaries", "flood-split", "-trials", "8", "-seed", "7", "-corpus", corpusDir, "-shrink", "-q"}, "corpus: ", 1},
+		{"replay", []string{entryArg}, "activity phases", 0},
+		{"replay", []string{"-verify", entryArg}, "verify: reproduced the recorded agreement violation", 0},
 		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal}, "losses (0 unexpected)", 0},
 		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal, "-resume"}, "ran 0 live", 0},
 		// No workers ever join: the pool degrades to in-process execution
@@ -74,13 +82,23 @@ func TestCommandSmoke(t *testing.T) {
 			}
 			built[c.name] = path
 		}
-		cmd := exec.Command(path, c.args...)
+		args := slices.Clone(c.args)
+		for i, a := range args {
+			if a == entryArg {
+				entries, err := filepath.Glob(filepath.Join(corpusDir, "*.json"))
+				if err != nil || len(entries) == 0 {
+					t.Fatalf("no corpus entry under %s (%v)", corpusDir, err)
+				}
+				args[i] = entries[0]
+			}
+		}
+		cmd := exec.Command(path, args...)
 		out, err := cmd.CombinedOutput()
 		if got := cmd.ProcessState.ExitCode(); got != c.exit {
-			t.Fatalf("%s %v: exit status %d (%v), want %d\n%s", c.name, c.args, got, err, c.exit, out)
+			t.Fatalf("%s %v: exit status %d (%v), want %d\n%s", c.name, args, got, err, c.exit, out)
 		}
 		if !strings.Contains(string(out), c.marker) {
-			t.Fatalf("%s %v: output missing %q:\n%s", c.name, c.args, c.marker, out)
+			t.Fatalf("%s %v: output missing %q:\n%s", c.name, args, c.marker, out)
 		}
 	}
 

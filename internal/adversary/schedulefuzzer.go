@@ -38,9 +38,11 @@ type ScheduleFuzzer struct {
 	burstProb float64
 
 	// Per-round scratch, reused across Steps: bad is indexed by process
-	// id, taken by outbox index.
+	// id, taken by outbox index, idx holds the base drops' outbox indices.
 	bad   []bool
 	taken []bool
+	match sim.DropMatcher
+	idx   []int
 }
 
 // NewScheduleFuzzer returns the strategy mutating base (pass a zero
@@ -110,25 +112,15 @@ func (f *ScheduleFuzzer) Step(v *sim.View) sim.Action {
 		}
 	}
 
-	// Drops. First replay the base round's drops (matched by endpoints in
-	// occurrence order, kept with keepProb), then sweep the remaining
+	// Drops. First replay the base round's drops (matched by
+	// sim.DropMatcher, kept with keepProb), then sweep the remaining
 	// corrupted-endpoint traffic with a per-round intensity mode.
 	taken := resetMask(f.taken, len(v.Outbox))
 	f.taken = taken
-	if hasBase && len(base.Drops) > 0 {
-		byPair := make(map[sim.Drop][]int)
-		for i, m := range v.Outbox {
-			k := sim.Drop{From: m.From, To: m.To}
-			byPair[k] = append(byPair[k], i)
-		}
-		for _, d := range base.Drops {
-			idxs := byPair[d]
-			if len(idxs) == 0 {
-				continue
-			}
-			idx := idxs[0]
-			byPair[d] = idxs[1:]
-			if !bad[d.From] && !bad[d.To] {
+	if hasBase {
+		f.idx = f.match.Match(f.idx[:0], v.Outbox, base.Drops)
+		for _, idx := range f.idx {
+			if idx < 0 || !bad[v.Outbox[idx].From] && !bad[v.Outbox[idx].To] {
 				continue
 			}
 			if f.rnd.Float64() < f.keepProb {

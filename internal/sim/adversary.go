@@ -44,7 +44,10 @@ type View struct {
 	Outbox []Message
 }
 
-// Action is the adversary's decision for one communication phase.
+// Action is the adversary's decision for one communication phase. The
+// engine reads its slices before the next Step call, so an adversary may
+// reuse them on that call (ScheduleAdversary does); a wrapper that keeps an
+// Action longer must copy it.
 type Action struct {
 	// Corrupt lists processes to place under adversarial control before
 	// omissions are applied this round. Corruption is permanent.

@@ -70,15 +70,16 @@ func TestSetupAllocsPerProcess(t *testing.T) {
 	}
 }
 
-// runAllocs measures whole-run heap allocations of an execution in which
-// every process, each of rounds rounds, makes send's Sends and exchanges;
-// pids holds 0..n-1, one slice shared by every process. Differencing two
+// runAllocs measures whole-run heap allocations of an execution with
+// corruption budget budget in which every process, each of rounds rounds,
+// makes send's Sends and exchanges; pids holds 0..n-1, one slice shared by
+// every process. Differencing two
 // round counts isolates the steady-state marginal cost of a round from the
 // O(n) engine setup (rng sources, per-process slices) that a whole-run
 // count amortizes — the very effect behind the historical n=4096
 // "allocation cliff", where setup divided by few benchmark iterations read
 // as thousands of allocs/op.
-func runAllocs(t *testing.T, n, shards, rounds int, adv Adversary, send func(env Env, pids []int)) float64 {
+func runAllocs(t *testing.T, n, budget, shards, rounds int, adv Adversary, send func(env Env, pids []int)) float64 {
 	t.Helper()
 	pids := make([]int, n)
 	for i := range pids {
@@ -92,7 +93,7 @@ func runAllocs(t *testing.T, n, shards, rounds int, adv Adversary, send func(env
 		return 0, nil
 	}
 	return testing.AllocsPerRun(1, func() {
-		if _, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1,
+		if _, err := Run(Config{N: n, T: budget, Inputs: make([]int, n), Seed: 1,
 			MaxRounds: rounds + 8, Adversary: adv, Shards: shards}, proto); err != nil {
 			t.Fatal(err)
 		}
@@ -128,12 +129,12 @@ const steadyAllocTolerance = 0.25
 // drain on one P, so a leg occasionally allocates a few fresh ones. A
 // collection landing between the legs can also let the pool drop the
 // coroutine crew, which the next leg then rebuilds.
-func steadyStateRoundAllocs(t *testing.T, n, shards, base int, adv Adversary, send func(env Env, pids []int)) float64 {
+func steadyStateRoundAllocs(t *testing.T, n, budget, shards, base int, adv Adversary, send func(env Env, pids []int)) float64 {
 	t.Helper()
 	best := math.Inf(1)
 	for trial := 0; trial < 4; trial++ {
-		short := runAllocs(t, n, shards, base, adv, send)
-		long := runAllocs(t, n, shards, 2*base, adv, send)
+		short := runAllocs(t, n, budget, shards, base, adv, send)
+		long := runAllocs(t, n, budget, shards, 2*base, adv, send)
 		if d := (long - short) / float64(base); d < best {
 			best = d
 		}
@@ -168,7 +169,7 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 			name string
 			adv  Adversary
 		}{{"fast", nil}, {"full", passThrough{}}} {
-			if perRound := steadyStateRoundAllocs(t, n, 0, base, tc.adv, sparseSends); perRound > steadyAllocTolerance {
+			if perRound := steadyStateRoundAllocs(t, n, 0, 0, base, tc.adv, sparseSends); perRound > steadyAllocTolerance {
 				t.Errorf("n=%d %s path: %.2f allocs per steady-state round, want 0",
 					n, tc.name, perRound)
 			}
@@ -193,7 +194,7 @@ func TestSparseRoundAllocsFlatInN(t *testing.T) {
 			if n >= 4096 {
 				base = 10
 			}
-			if perRound := steadyStateRoundAllocs(t, n, shards, base, nil, sparseSends); perRound > steadyAllocTolerance {
+			if perRound := steadyStateRoundAllocs(t, n, 0, shards, base, nil, sparseSends); perRound > steadyAllocTolerance {
 				t.Errorf("n=%d shards=%d: %.2f allocs per steady-state round, want O(1) in n (0)",
 					n, shards, perRound)
 			}
@@ -220,9 +221,45 @@ func TestSendRoundAllocs(t *testing.T) {
 				name string
 				adv  Adversary
 			}{{"fast", nil}, {"full", passThrough{}}} {
-				if perRound := steadyStateRoundAllocs(t, n, shards, 30, tc.adv, multiSends); perRound > steadyAllocTolerance {
+				if perRound := steadyStateRoundAllocs(t, n, 0, shards, 30, tc.adv, multiSends); perRound > steadyAllocTolerance {
 					t.Errorf("n=%d shards=%d %s path: %.2f allocs per steady-state round, want 0",
 						n, shards, tc.name, perRound)
+				}
+			}
+		}
+	}
+}
+
+// TestScheduleReplayAllocs pins the replayer's steady state: strict and
+// lenient replay of a schedule that corrupts in round 1 and drops in every
+// round — both copies of a repeated (from, to) pair, one more message, and
+// a drop that matches nothing — allocate nothing per round, at one shard
+// and at two. Every process sends twice to its ⌊√n⌋ successors, so every
+// pair carries two messages.
+func TestScheduleReplayAllocs(t *testing.T) {
+	const base = 30
+	twice := func(env Env, pids []int) {
+		sparseSends(env, pids)
+		sparseSends(env, pids)
+	}
+	var sched Schedule
+	for r := 1; r <= 2*base; r++ {
+		sr := ScheduleRound{Round: r, Drops: []Drop{{0, 1}, {0, 1}, {0, 2}, {0, 0}}}
+		if r == 1 {
+			sr.Corrupt = []int{0}
+		}
+		sched.Rounds = append(sched.Rounds, sr)
+	}
+	for _, n := range []int{64, 1024} {
+		for _, shards := range []int{0, 2} {
+			for _, strict := range []bool{false, true} {
+				adv := NewScheduleAdversary(sched)
+				if strict {
+					adv = NewStrictScheduleAdversary(sched)
+				}
+				if perRound := steadyStateRoundAllocs(t, n, 1, shards, base, adv, twice); perRound > steadyAllocTolerance {
+					t.Errorf("n=%d shards=%d strict=%v: %.2f allocs per steady-state round, want 0",
+						n, shards, strict, perRound)
 				}
 			}
 		}

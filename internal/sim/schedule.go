@@ -1,8 +1,13 @@
 package sim
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Drop identifies one omitted message by its endpoints. When a sender
 // emits several messages to the same receiver in one round, repeated Drop
-// entries consume successive occurrences in outbox order.
+// entries consume successive occurrences in outbox order (DropMatcher).
 type Drop struct {
 	From int `json:"from"`
 	To   int `json:"to"`
@@ -51,17 +56,51 @@ func (s Schedule) NumActions() int {
 	return n
 }
 
-// Clone deep-copies the schedule.
-func (s Schedule) Clone() Schedule {
-	out := Schedule{Rounds: make([]ScheduleRound, len(s.Rounds))}
-	for i, r := range s.Rounds {
-		out.Rounds[i] = ScheduleRound{
-			Round:   r.Round,
-			Corrupt: append([]int(nil), r.Corrupt...),
-			Drops:   append([]Drop(nil), r.Drops...),
+// DropMatcher is the one decoder of what a recorded Drop names: it turns a
+// round's Drops into View.Outbox indices. Repeated drops on a (From, To)
+// pair consume the pair's successive occurrences in outbox order, and a
+// drop with no occurrence left maps to -1. View.Outbox is sorted by
+// (From, To), so each lookup is a binary search to the pair's first index.
+// The zero value is ready to use; once warm, Match allocates nothing.
+type DropMatcher struct {
+	taken []bool // by outbox index; all false between calls
+}
+
+// Match appends the outbox index of each of drops, in order, to dst and
+// returns the extended slice.
+func (m *DropMatcher) Match(dst []int, outbox []Message, drops []Drop) []int {
+	if cap(m.taken) < len(outbox) {
+		m.taken = make([]bool, len(outbox))
+	}
+	taken := m.taken[:len(outbox)]
+	start := len(dst)
+	for _, d := range drops {
+		i, _ := slices.BinarySearchFunc(outbox, d, compareEndpoints)
+		for i < len(outbox) && taken[i] && compareEndpoints(outbox[i], d) == 0 {
+			i++
+		}
+		if i < len(outbox) && compareEndpoints(outbox[i], d) == 0 {
+			taken[i] = true
+		} else {
+			i = -1
+		}
+		dst = append(dst, i)
+	}
+	for _, i := range dst[start:] {
+		if i >= 0 {
+			taken[i] = false
 		}
 	}
-	return out
+	return dst
+}
+
+// compareEndpoints orders a message against a drop in canonical (From, To)
+// order.
+func compareEndpoints(m Message, d Drop) int {
+	if c := cmp.Compare(m.From, d.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(m.To, d.To)
 }
 
 // ScheduleAdversary replays a recorded (or hand-edited, or shrunk)
@@ -74,28 +113,37 @@ func (s Schedule) Clone() Schedule {
 //     re-demonstrated from its corpus file.
 //   - Lenient (default): clamp to legality. Corruptions beyond the budget,
 //     re-corruptions and drops whose endpoints are not corrupted are
-//     silently skipped (and counted). This keeps mutated or shrunk
-//     schedules legal by construction, so the engine never aborts while a
-//     shrinker or fuzzer explores the schedule's neighborhood.
+//     silently skipped. This keeps mutated or shrunk schedules legal by
+//     construction, so the engine never aborts while a shrinker or fuzzer
+//     explores the schedule's neighborhood.
 //
-// Drops are matched to the current outbox by (from, to) endpoints in
-// occurrence order; recorded drops with no matching message (the execution
-// diverged from the recording) are counted in Unmatched and skipped.
+// In both modes drops are matched to the current outbox by DropMatcher;
+// a recorded drop with no matching message (the execution diverged from
+// the recording) is skipped. A round number the schedule lists twice
+// replays its last entry. Step allocates nothing once warm.
 type ScheduleAdversary struct {
-	rounds map[int]ScheduleRound
+	rounds []ScheduleRound // ascending by Round, one entry per round number
 	strict bool
 
-	unmatched int
-	clamped   int
+	// Reused across Steps: bad is the lenient mode's corrupted set by
+	// process id; corrupt and drop back the returned Action.
+	bad     []bool
+	match   DropMatcher
+	corrupt []int
+	drop    []int
 }
 
 // NewScheduleAdversary returns the lenient replayer.
 func NewScheduleAdversary(s Schedule) *ScheduleAdversary {
-	a := &ScheduleAdversary{rounds: make(map[int]ScheduleRound, len(s.Rounds))}
-	for _, r := range s.Rounds {
-		a.rounds[r.Round] = r
+	rounds := slices.Clone(s.Rounds)
+	slices.SortStableFunc(rounds, func(a, b ScheduleRound) int { return cmp.Compare(a.Round, b.Round) })
+	last := rounds[:0]
+	for i, r := range rounds {
+		if i+1 == len(rounds) || rounds[i+1].Round != r.Round {
+			last = append(last, r)
+		}
 	}
-	return a
+	return &ScheduleAdversary{rounds: last}
 }
 
 // NewStrictScheduleAdversary returns the verbatim replayer.
@@ -108,73 +156,43 @@ func NewStrictScheduleAdversary(s Schedule) *ScheduleAdversary {
 // Name implements Adversary.
 func (a *ScheduleAdversary) Name() string { return "schedule-replay" }
 
-// Unmatched returns the number of recorded drops that found no matching
-// outbox message during replay (nonzero means the execution diverged from
-// the recording).
-func (a *ScheduleAdversary) Unmatched() int { return a.unmatched }
-
-// Clamped returns the number of recorded actions the lenient mode skipped
-// to preserve legality.
-func (a *ScheduleAdversary) Clamped() int { return a.clamped }
-
-// Step implements Adversary.
+// Step implements Adversary. The returned slices are reused by the next
+// call.
 func (a *ScheduleAdversary) Step(v *View) Action {
-	sr, ok := a.rounds[v.Round]
+	i, ok := slices.BinarySearchFunc(a.rounds, v.Round, func(r ScheduleRound, round int) int {
+		return cmp.Compare(r.Round, round)
+	})
 	if !ok {
 		return Action{}
 	}
-	var act Action
+	sr := a.rounds[i]
+	a.corrupt = a.corrupt[:0]
+	a.drop = a.match.Match(a.drop[:0], v.Outbox, sr.Drops)
+	if a.strict {
+		a.corrupt = append(a.corrupt, sr.Corrupt...)
+		a.drop = slices.DeleteFunc(a.drop, func(idx int) bool { return idx < 0 })
+		return Action{Corrupt: a.corrupt, Drop: a.drop}
+	}
 
-	bad := make(map[int]bool)
+	bad := append(a.bad[:0], v.Corrupted...)
+	a.bad = bad
 	spent := 0
-	for p, c := range v.Corrupted {
+	for _, c := range bad {
 		if c {
-			bad[p] = true
 			spent++
 		}
 	}
 	for _, p := range sr.Corrupt {
-		if a.strict {
-			act.Corrupt = append(act.Corrupt, p)
-			if p >= 0 && p < v.N {
-				bad[p] = true
-			}
-			continue
+		if p >= 0 && p < v.N && !bad[p] && spent < v.T {
+			a.corrupt = append(a.corrupt, p)
+			bad[p] = true
+			spent++
 		}
-		if p < 0 || p >= v.N || bad[p] || spent >= v.T {
-			a.clamped++
-			continue
-		}
-		act.Corrupt = append(act.Corrupt, p)
-		bad[p] = true
-		spent++
 	}
-
-	if len(sr.Drops) == 0 {
-		return act
-	}
-	// Index the outbox by endpoint pair; each recorded drop consumes the
-	// next occurrence of its pair.
-	byPair := make(map[Drop][]int)
-	for i, m := range v.Outbox {
-		k := Drop{From: m.From, To: m.To}
-		byPair[k] = append(byPair[k], i)
-	}
-	for _, d := range sr.Drops {
-		idxs := byPair[d]
-		if len(idxs) == 0 {
-			a.unmatched++
-			continue
-		}
-		idx := idxs[0]
-		byPair[d] = idxs[1:]
-		if !a.strict && !bad[d.From] && !bad[d.To] {
-			a.clamped++
-			continue
-		}
-		act.Drop = append(act.Drop, idx)
-	}
-	return act
+	a.drop = slices.DeleteFunc(a.drop, func(idx int) bool {
+		return idx < 0 || !bad[v.Outbox[idx].From] && !bad[v.Outbox[idx].To]
+	})
+	return Action{Corrupt: a.corrupt, Drop: a.drop}
 }
 
 var _ Adversary = (*ScheduleAdversary)(nil)

@@ -60,7 +60,7 @@ func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 			adv  Adversary
 		}{{"fast", nil}, {"full", passThrough{}}} {
 			for _, shards := range []int{1, 4} {
-				if perRound := steadyStateRoundAllocs(t, n, shards, base, tc.adv, sparseSends); perRound > steadyAllocTolerance {
+				if perRound := steadyStateRoundAllocs(t, n, 0, shards, base, tc.adv, sparseSends); perRound > steadyAllocTolerance {
 					t.Errorf("n=%d %s path, shards=%d: %.2f allocs per steady-state round, want 0",
 						n, tc.name, shards, perRound)
 				}

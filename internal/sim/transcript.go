@@ -119,32 +119,6 @@ func (t *Transcript) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// Equal reports whether two transcripts describe identical executions.
-func (t *Transcript) Equal(o *Transcript) bool {
-	if t.N != o.N || t.T != o.T || len(t.Rounds) != len(o.Rounds) {
-		return false
-	}
-	for i := range t.Rounds {
-		a, b := t.Rounds[i], o.Rounds[i]
-		if a.Round != b.Round || a.Messages != b.Messages || a.Bits != b.Bits ||
-			a.Dropped != b.Dropped || a.Decided != b.Decided || a.Terminated != b.Terminated ||
-			len(a.Corrupted) != len(b.Corrupted) || len(a.Drops) != len(b.Drops) {
-			return false
-		}
-		for j := range a.Corrupted {
-			if a.Corrupted[j] != b.Corrupted[j] {
-				return false
-			}
-		}
-		for j := range a.Drops {
-			if a.Drops[j] != b.Drops[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Summary renders one line per transcript for quick inspection.
 func (t *Transcript) Summary() string {
 	msgs := 0

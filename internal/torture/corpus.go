@@ -69,22 +69,52 @@ func (e *Entry) Write(dir string) (string, error) {
 	return path, nil
 }
 
-// LoadEntry reads a corpus entry back.
-func LoadEntry(path string) (*Entry, error) {
+// LoadArtifact reads a recorded execution back as an Entry: either a
+// corpus entry (a top-level "transcript" key) or a recording written by
+// `omicon -record` (a top-level "rounds" key). A recording becomes an entry
+// with no violations whose schedule is the transcript's and whose round
+// bound is left to ProtoSpec.Build.
+func LoadArtifact(path string) (*Entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("torture: corpus entry %s: %w", path, err)
+	var keys struct {
+		Transcript json.RawMessage `json:"transcript"`
+		Rounds     json.RawMessage `json:"rounds"`
 	}
-	if e.Version > EntryVersion {
-		return nil, fmt.Errorf("torture: corpus entry %s has version %d, this build understands <= %d",
-			path, e.Version, EntryVersion)
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return nil, fmt.Errorf("torture: %s: %w", path, err)
+	}
+	var e Entry
+	switch {
+	case keys.Transcript != nil:
+		if err := json.Unmarshal(data, &e); err != nil {
+			return nil, fmt.Errorf("torture: corpus entry %s: %w", path, err)
+		}
+		if e.Version > EntryVersion {
+			return nil, fmt.Errorf("torture: corpus entry %s has version %d, this build understands <= %d",
+				path, e.Version, EntryVersion)
+		}
+	case keys.Rounds != nil:
+		var tr sim.Transcript
+		if err := json.Unmarshal(data, &tr); err != nil {
+			return nil, fmt.Errorf("torture: recording %s: %w", path, err)
+		}
+		if tr.Version > sim.TranscriptVersion {
+			return nil, fmt.Errorf("torture: recording %s has version %d, this build understands <= %d",
+				path, tr.Version, sim.TranscriptVersion)
+		}
+		e = Entry{
+			Protocol: tr.Protocol, Adversary: tr.Adversary,
+			N: tr.N, T: tr.T, Seed: tr.Seed, Inputs: tr.Inputs,
+			Schedule: tr.Schedule(), Transcript: &tr,
+		}
+	default:
+		return nil, fmt.Errorf("torture: %s is neither a corpus entry nor a recording", path)
 	}
 	if e.Transcript == nil || e.N <= 0 {
-		return nil, fmt.Errorf("torture: corpus entry %s is incomplete", path)
+		return nil, fmt.Errorf("torture: %s is incomplete", path)
 	}
 	return &e, nil
 }

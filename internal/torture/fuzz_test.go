@@ -43,7 +43,8 @@ func FuzzScheduleReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	inputs := TrialInputs(n, 0) // balanced: both camps larger than t
+	// Balanced inputs: both camps larger than t.
+	at := &Entry{N: n, T: t, Inputs: TrialInputs(n, 0), Seed: 99}
 
 	f.Fuzz(func(tt *testing.T, data []byte) {
 		var s sim.Schedule
@@ -53,15 +54,10 @@ func FuzzScheduleReplay(f *testing.F) {
 		if s.NumActions() > 4096 {
 			return // pathological blobs add time, not coverage
 		}
-		adv := sim.NewScheduleAdversary(s)
-		run := runOnce(spec, proto, bound, adv, n, t, inputs, 99, nil, 0)
+		run, verdict := replaySchedule(spec, proto, bound, at, s, false, 0)
 		if run.err != nil {
 			tt.Fatalf("lenient replay must keep every schedule legal, engine said: %v", run.err)
 		}
-		verdict := Check(CheckInput{
-			N: n, T: t, RoundBound: bound,
-			Result: run.res, RunErr: run.err, Transcript: run.tr,
-		})
 		if verdict.Failed() {
 			tt.Fatalf("false violation on a legal schedule: %v (schedule %s)", verdict.Violations, data)
 		}

@@ -58,10 +58,6 @@ type CheckInput struct {
 	// violations to counted Monte-Carlo misses. The zero value checks
 	// every guarantee deterministically.
 	Properties PropertySet
-	// MonteCarlo is the legacy single-bit form of Properties (agreement
-	// WHP), kept because persisted corpus entries record exactly this
-	// bit; it ORs into Properties.Agreement.
-	MonteCarlo bool
 	Result     *sim.Result
 	RunErr     error
 	Transcript *sim.Transcript
@@ -70,8 +66,8 @@ type CheckInput struct {
 // Verdict is the oracle's judgment of one trial.
 type Verdict struct {
 	Violations []Violation
-	// MonteCarloMisses counts whp-agreement failures of MonteCarlo
-	// protocols; they are measured, not gating.
+	// MonteCarloMisses counts failures of WHP-strength properties; they
+	// are measured, not gating.
 	MonteCarloMisses int
 }
 
@@ -98,11 +94,6 @@ func (v *Verdict) add(k Kind, format string, args ...any) {
 // they are properties of the model and the harness, not of the protocol.
 func Check(in CheckInput) Verdict {
 	var verdict Verdict
-	props := in.Properties
-	if in.MonteCarlo {
-		props.Agreement = WHP
-	}
-
 	if in.RunErr != nil {
 		switch {
 		case errors.Is(in.RunErr, sim.ErrBudget), errors.Is(in.RunErr, sim.ErrIllegalOmission):
@@ -133,19 +124,19 @@ func Check(in CheckInput) Verdict {
 		}
 	}
 	if err := res.CheckAgreement(); err != nil {
-		addAt(props.Agreement, KindAgreement, "%v", err)
+		addAt(in.Properties.Agreement, KindAgreement, "%v", err)
 	}
 	if err := res.CheckValidity(); err != nil {
-		addAt(props.Validity, KindValidity, "%v", err)
+		addAt(in.Properties.Validity, KindValidity, "%v", err)
 	}
 	for p := 0; p < in.N; p++ {
 		if !res.Corrupted[p] && res.Decisions[p] < 0 {
-			addAt(props.Termination, KindTermination, "non-faulty process %d never decided", p)
+			addAt(in.Properties.Termination, KindTermination, "non-faulty process %d never decided", p)
 			break
 		}
 	}
 	if in.RoundBound > 0 && res.RoundsNonFaulty() > in.RoundBound {
-		addAt(props.Termination, KindTermination, "non-faulty processes ran %d rounds, bound is %d",
+		addAt(in.Properties.Termination, KindTermination, "non-faulty processes ran %d rounds, bound is %d",
 			res.RoundsNonFaulty(), in.RoundBound)
 	}
 

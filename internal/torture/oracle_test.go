@@ -52,7 +52,7 @@ func TestOracleAgreement(t *testing.T) {
 	}
 
 	// The same disagreement on a Monte Carlo protocol is a counted miss.
-	v = Check(CheckInput{N: 4, T: 1, RoundBound: 5, MonteCarlo: true, Result: res})
+	v = Check(CheckInput{N: 4, T: 1, RoundBound: 5, Properties: PropertySet{Agreement: WHP}, Result: res})
 	if v.Has(KindAgreement) || v.MonteCarloMisses != 1 {
 		t.Fatalf("monte-carlo miss mishandled: %v misses=%d", v.Violations, v.MonteCarloMisses)
 	}

@@ -622,93 +622,88 @@ func transcriptBytes(tr *sim.Transcript) []byte {
 	return buf.Bytes()
 }
 
-// scheduleVerdict replays one candidate schedule against the protocol and
-// returns its oracle verdict. Legality-kind targets replay strictly (the
-// schedule must reproduce the illegal action for the engine to reject);
-// everything else replays leniently so partial schedules stay legal.
-func scheduleVerdict(spec ProtoSpec, proto sim.Protocol, bound int, e *Entry, s sim.Schedule, strict bool, shards int) Verdict {
-	var adv sim.Adversary
+// replaySchedule re-executes schedule s at the coordinates e records (n,
+// t, inputs and seed) and judges the run with the protocol's declared
+// properties. strict selects the verbatim replayer; the lenient one clamps
+// s to legality (sim.ScheduleAdversary). It is the one re-execution of a
+// schedule: Replay, the shrinker and the replay fuzz tests all run it.
+func replaySchedule(spec ProtoSpec, proto sim.Protocol, bound int, e *Entry, s sim.Schedule, strict bool, shards int) (trialRun, Verdict) {
+	adv := sim.NewScheduleAdversary(s)
 	if strict {
 		adv = sim.NewStrictScheduleAdversary(s)
-	} else {
-		adv = sim.NewScheduleAdversary(s)
 	}
 	run := runOnce(spec, proto, bound, adv, e.N, e.T, e.Inputs, e.Seed, nil, shards)
-	return Check(CheckInput{
-		N: e.N, T: e.T, RoundBound: bound,
-		MonteCarlo: e.MonteCarlo,
-		Result:     run.res, RunErr: run.err, Transcript: run.tr,
+	return run, Check(CheckInput{
+		N: e.N, T: e.T, RoundBound: bound, Properties: spec.Properties,
+		Result: run.res, RunErr: run.err, Transcript: run.tr,
 	})
 }
 
+// shrinkEntry delta-debugs e's schedule down to a minimal one that still
+// produces a violation of kind target. Candidates for a legality target
+// replay strictly, so the illegal action reaches the engine; all others
+// replay leniently, so every partial schedule stays legal.
 func shrinkEntry(spec ProtoSpec, proto sim.Protocol, bound int, e *Entry, target Kind, maxRuns, shards int) (sim.Schedule, int) {
 	strict := target == KindLegality
 	return Shrink(e.Schedule, func(s sim.Schedule) bool {
-		return scheduleVerdict(spec, proto, bound, e, s, strict, shards).Has(target)
+		_, v := replaySchedule(spec, proto, bound, e, s, strict, shards)
+		return v.Has(target)
 	}, maxRuns)
 }
 
-// ReplayResult is the outcome of replaying one corpus entry.
+// ReplayResult is the outcome of replaying one recorded artifact.
 type ReplayResult struct {
 	Verdict Verdict
-	// Reproduced reports whether the replay hit a violation of the same
-	// kind as the entry's first recorded one.
+	// Reproduced reports whether the replay hit a violation of the kind of
+	// the entry's first recorded one; false for an entry that records none.
 	Reproduced bool
 	// ByteIdentical reports whether the replayed transcript matches the
-	// persisted one byte-for-byte (modulo the adversary name header,
-	// which necessarily changes to schedule-replay).
+	// recorded one byte for byte.
 	ByteIdentical bool
-	Transcript    *sim.Transcript
+	// Transcript is the replay's recording, under the recorded header's
+	// protocol and adversary names.
+	Transcript *sim.Transcript
+	// RunErr is the replayed execution's engine error, nil when it ran to
+	// completion.
+	RunErr error
 }
 
-// Replay re-executes a corpus entry from its recorded schedule and checks
-// that the violation reproduces and the transcript matches. It runs on the
-// default one shard; ReplayWith selects the shard count.
-func Replay(e *Entry) (*ReplayResult, error) {
-	return ReplayWith(e, 0)
-}
-
-// ReplayWith is Replay on an explicit simulator execution mode (see
-// sim.Config.Shards). A corpus entry must reproduce identically on both
-// engines; the differential seed-corpus tests replay every committed
-// recording under both.
-func ReplayWith(e *Entry, shards int) (*ReplayResult, error) {
+// Replay re-executes a recorded artifact — a corpus entry or a recording
+// (LoadArtifact) — from its schedule on the given simulator shard count
+// (sim.Config.Shards), and compares the fresh transcript with the recorded
+// one. The replay is strict: a legal recorded schedule replays identically
+// either way, and strict mode also reproduces actions the engine accepts
+// as no-ops, such as a re-corruption, and the illegal actions of a
+// legality violation. The run is judged with the protocol's declared
+// properties, never with a campaign Envelope: entries do not record it.
+func Replay(e *Entry, shards int) (*ReplayResult, error) {
+	if e.Transcript == nil || !e.Transcript.HasReplayMeta() {
+		return nil, fmt.Errorf("torture: replay needs replay metadata (protocol, seed, inputs); " +
+			"this transcript predates the action-level format — re-record it with the current build")
+	}
 	spec, err := FindProtocol(e.Protocol)
 	if err != nil {
 		return nil, err
 	}
 	proto, bound, err := spec.Build(e.N, e.T)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("torture: rebuilding %s for n=%d t=%d: %w", e.Protocol, e.N, e.T, err)
 	}
 	if e.RoundBound > 0 {
 		bound = e.RoundBound
 	}
-	strict := len(e.Violations) > 0 && e.Violations[0].Kind == KindLegality
-	var adv sim.Adversary
-	if strict {
-		adv = sim.NewStrictScheduleAdversary(e.Schedule)
-	} else {
-		adv = sim.NewScheduleAdversary(e.Schedule)
+	run, verdict := replaySchedule(spec, proto, bound, e, e.Schedule, true, shards)
+	// The replay runs under the schedule adversary and the canonical
+	// protocol name; the header keeps the recorded names.
+	run.tr.Protocol, run.tr.Adversary = e.Transcript.Protocol, e.Transcript.Adversary
+	out := &ReplayResult{
+		Verdict:       verdict,
+		ByteIdentical: bytes.Equal(transcriptBytes(e.Transcript), transcriptBytes(run.tr)),
+		Transcript:    run.tr,
+		RunErr:        run.err,
 	}
-	run := runOnce(spec, proto, bound, adv, e.N, e.T, e.Inputs, e.Seed, nil, shards)
-	verdict := Check(CheckInput{
-		N: e.N, T: e.T, RoundBound: bound,
-		MonteCarlo: e.MonteCarlo,
-		Result:     run.res, RunErr: run.err, Transcript: run.tr,
-	})
-	out := &ReplayResult{Verdict: verdict, Transcript: run.tr}
 	if len(e.Violations) > 0 {
 		out.Reproduced = verdict.Has(e.Violations[0].Kind)
-	} else {
-		out.Reproduced = verdict.Failed()
-	}
-	if e.Transcript != nil {
-		// Normalize the adversary header: the replay necessarily runs
-		// under the schedule adversary's name.
-		want := *e.Transcript
-		want.Adversary = run.tr.Adversary
-		out.ByteIdentical = bytes.Equal(transcriptBytes(&want), transcriptBytes(run.tr))
 	}
 	return out, nil
 }

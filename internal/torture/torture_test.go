@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"omicon/internal/sim"
 	"omicon/internal/trace"
 )
 
@@ -80,7 +81,7 @@ func TestFloodsetPipeline(t *testing.T) {
 		t.Fatal("violations found but no corpus entries written")
 	}
 
-	entry, err := LoadEntry(rep.CorpusPaths[0])
+	entry, err := LoadArtifact(rep.CorpusPaths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +110,12 @@ func TestFloodsetPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := scheduleVerdict(spec, proto, bound, entry, *entry.MinSchedule, false, 0); !v.Has(KindAgreement) {
+	if _, v := replaySchedule(spec, proto, bound, entry, *entry.MinSchedule, false, 0); !v.Has(KindAgreement) {
 		t.Fatalf("minimal schedule does not reproduce the agreement violation: %v", v.Violations)
 	}
 
 	// Byte-identical replay from the corpus file.
-	res, err := Replay(entry)
+	res, err := Replay(entry, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +124,65 @@ func TestFloodsetPipeline(t *testing.T) {
 	}
 	if !res.ByteIdentical {
 		t.Fatal("replayed transcript differs from the persisted one")
+	}
+}
+
+// reCorruptor corrupts process 0 in rounds 1 and 2. The engine accepts the
+// second corruption as a no-op; the transcript records both.
+type reCorruptor struct{}
+
+func (reCorruptor) Name() string { return "re-corruptor" }
+
+func (reCorruptor) Step(v *sim.View) sim.Action {
+	if v.Round <= 2 {
+		return sim.Action{Corrupt: []int{0}}
+	}
+	return sim.Action{}
+}
+
+// TestReplayReproducesReCorruption persists the transcript violation a
+// re-corruption produces and requires Replay to reproduce it byte for
+// byte. A lenient replay would clamp the second corruption away.
+func TestReplayReproducesReCorruption(t *testing.T) {
+	const n, seed = 12, 5
+	spec, err := FindProtocol("phaseking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := CapT(spec, n)
+	proto, bound, err := spec.Build(n, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := TrialInputs(n, 0)
+	run := runOnce(spec, proto, bound, reCorruptor{}, n, tt, inputs, seed, nil, 0)
+	v := Check(CheckInput{
+		N: n, T: tt, RoundBound: bound, Properties: spec.Properties,
+		Result: run.res, RunErr: run.err, Transcript: run.tr,
+	})
+	if !v.Has(KindTranscript) {
+		t.Fatalf("re-corruption not flagged as a transcript violation: %v", v.Violations)
+	}
+	e := &Entry{
+		Version: EntryVersion, Protocol: spec.Name, Adversary: run.tr.Adversary,
+		N: n, T: tt, Seed: seed, Inputs: inputs, RoundBound: bound,
+		Violations: v.Violations, Schedule: run.tr.Schedule(), Transcript: run.tr,
+	}
+	path, err := e.Write(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(loaded, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reproduced || !res.ByteIdentical {
+		t.Fatalf("replay: reproduced=%v byte-identical=%v, verdict %v",
+			res.Reproduced, res.ByteIdentical, res.Verdict.Violations)
 	}
 }
 
@@ -146,7 +206,7 @@ func TestInjectOverbudget(t *testing.T) {
 	if rep.Violations == 0 {
 		t.Fatal("injected over-budget adversary was not caught")
 	}
-	entry, err := LoadEntry(rep.CorpusPaths[0])
+	entry, err := LoadArtifact(rep.CorpusPaths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +216,7 @@ func TestInjectOverbudget(t *testing.T) {
 	if !strings.Contains(entry.Adversary, "overbudget") {
 		t.Fatalf("entry adversary %q does not mark the injection", entry.Adversary)
 	}
-	res, err := Replay(entry)
+	res, err := Replay(entry, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +264,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if len(rep.CorpusPaths) == 0 {
 		t.Fatalf("expected corpus files, got none")
 	}
-	e, err := LoadEntry(rep.CorpusPaths[0])
+	e, err := LoadArtifact(rep.CorpusPaths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +282,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadEntry(path); err == nil {
+	if _, err := LoadArtifact(path); err == nil {
 		t.Fatal("future-versioned corpus entry was accepted")
 	}
 }

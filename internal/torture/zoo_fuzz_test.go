@@ -63,8 +63,8 @@ func FuzzAdversaryScheduleReplay(f *testing.F) {
 
 		// Strict replay: the recorded schedule must reproduce the exact
 		// execution — the engine must accept every recorded action as-is.
-		replayAdv := sim.NewStrictScheduleAdversary(live.tr.Schedule())
-		replay := runOnce(spec, proto, bound, replayAdv, n, t, inputs, seed, nil, 0)
+		at := &Entry{N: n, T: t, Inputs: inputs, Seed: seed}
+		replay, _ := replaySchedule(spec, proto, bound, at, live.tr.Schedule(), true, 0)
 		if replay.err != nil {
 			tt.Fatalf("strict replay of %s's schedule rejected: %v", adv.Name(), replay.err)
 		}

@@ -17,11 +17,11 @@ import (
 )
 
 // TestCommittedRecordingsReplay re-executes every transcript committed under
-// testdata/recordings through the schedule adversary — at the default one
-// shard and with shard workers — and requires each fresh recording to
-// match the committed bytes exactly. This pins the replay
-// format against engine changes: any drift in delivery order, rng accounting
-// or corruption bookkeeping in either mode shows up as a byte diff here.
+// testdata/recordings through torture.Replay — at the default one shard and
+// with shard workers — and requires each fresh recording to match the
+// committed bytes exactly. This pins the replay format against engine
+// changes: any drift in delivery order, rng accounting or corruption
+// bookkeeping in either mode shows up as a byte diff here.
 func TestCommittedRecordingsReplay(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "recordings", "*.json"))
 	if err != nil {
@@ -38,53 +38,31 @@ func TestCommittedRecordingsReplay(t *testing.T) {
 				mode = "sharded"
 			}
 			t.Run(name+"/"+mode, func(t *testing.T) {
-				replayRecording(t, path, shards)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := torture.LoadArtifact(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := torture.Replay(e, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.RunErr != nil {
+					t.Fatalf("replay run: %v", res.RunErr)
+				}
+				var got bytes.Buffer
+				if err := res.Transcript.WriteJSON(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !res.ByteIdentical || !bytes.Equal(data, got.Bytes()) {
+					t.Fatalf("replayed transcript diverges from the committed recording\n  recorded: %s\n  replayed: %s",
+						e.Transcript.Summary(), res.Transcript.Summary())
+				}
 			})
 		}
-	}
-}
-
-func replayRecording(t *testing.T, path string, shards int) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr sim.Transcript
-	if err := json.Unmarshal(data, &tr); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !tr.HasReplayMeta() {
-		t.Fatalf("committed recording lacks replay metadata; re-record it with the current build")
-	}
-
-	spec, err := torture.FindProtocol(tr.Protocol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, bound, err := spec.Build(tr.N, tr.T)
-	if err != nil {
-		t.Fatalf("rebuilding %s for n=%d t=%d: %v", tr.Protocol, tr.N, tr.T, err)
-	}
-	rec, fresh := sim.NewRecorder(sim.NewStrictScheduleAdversary(tr.Schedule()))
-	if _, err := sim.Run(sim.Config{
-		N: tr.N, T: tr.T, Inputs: tr.Inputs, Seed: tr.Seed, Adversary: rec,
-		MaxRounds: bound + 64,
-		Shards:    shards,
-	}, proto); err != nil {
-		t.Fatalf("replay run: %v", err)
-	}
-	fresh.Protocol = tr.Protocol
-	fresh.Seed = tr.Seed
-	fresh.Inputs = append([]int(nil), tr.Inputs...)
-	fresh.Adversary = tr.Adversary
-
-	var got bytes.Buffer
-	if err := fresh.WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, got.Bytes()) {
-		t.Fatalf("replayed transcript diverges from the committed recording\n  recorded: %s\n  replayed: %s",
-			tr.Summary(), fresh.Summary())
 	}
 }
 
