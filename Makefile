@@ -23,18 +23,19 @@ loc:
 # vet, the full suite under the race detector (transport reconnect/resume
 # and the chaos soak are concurrent by construction), the allocation tests
 # without it (they are //go:build !race: the detector allocates on its own
-# behalf), the full-scale check of EXPERIMENTS.md's generated tables
-# (-short skips it), the unit tests of the benchmark (a module of its own,
-# which ./... does not reach), then a deterministic torture smoke across
-# the protocol x adversary matrix. Uses -short to keep the soak at its
-# fast schedule count; run `make soak` for the full chaos sweep and `make
-# torture` for a longer campaign.
+# behalf), the full-scale check of EXPERIMENTS.md's generated tables and
+# the every-command smoke test (-short skips both), the unit tests of the
+# benchmark (a module of its own, which ./... does not reach), then a
+# deterministic torture smoke across the protocol x adversary matrix. Uses
+# -short to keep the soak at its fast schedule count; run `make soak` for
+# the full chaos sweep and `make torture` for a longer campaign.
 check:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 	$(GO) test -short -count=1 -run Alloc ./internal/...
 	$(GO) test -count=1 -run TestExperimentsTablesCurrent ./cmd/paper
+	$(GO) test -count=1 -run TestCommandSmoke .
 	$(GO) test -C benchmark ./...
 	$(GO) run -race ./cmd/torture -trials 50 -seed 1 -q
 

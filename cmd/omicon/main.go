@@ -13,6 +13,10 @@
 // pprof profiles:
 //
 //	omicon -n 256 -t 8 -algo optimal -trace run.trace.jsonl -cpuprofile cpu.pb.gz
+//
+// -record writes the execution's transcript, which cmd/replay
+// re-executes. A recording does not carry -x, -randcap, -paperscale or
+// -allow-large-t, so -record refuses to run with any of them set.
 package main
 
 import (
@@ -55,6 +59,20 @@ func run() error {
 		memProfile = flag.String("memprofile", "", "write a heap profile after the run to this file")
 	)
 	flag.Parse()
+
+	// A recording carries protocol, seed and inputs, and replay rebuilds
+	// the protocol with the registry's defaults; a run under any other
+	// parameters could not be reproduced from it.
+	if *record != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"x", *x != 0}, {"randcap", *cap != 0}, {"paperscale", *paper}, {"allow-large-t", *largeT}} {
+			if f.set {
+				return fmt.Errorf("-record cannot be combined with -%s: a recording replays with default protocol parameters", f.name)
+			}
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -138,8 +156,8 @@ func run() error {
 		return err
 	}
 	if transcript != nil {
-		// Stamp the replay metadata so `replay -verify` (and the torture
-		// harness) can re-execute the transcript deterministically.
+		// Stamp the replay metadata so `replay` (torture.Replay) can
+		// re-execute the transcript deterministically.
 		transcript.Protocol = algo.String()
 		transcript.Seed = *seed
 		transcript.Inputs = inputs

@@ -1,9 +1,4 @@
-// Package analysis post-processes execution transcripts (internal/sim's
-// Transcript): decision latency, corruption timelines, omission pressure
-// and activity segmentation. cmd/replay renders its report for recorded
-// runs, and experiment code uses it to answer "when did the adversary
-// spend its budget" without re-running executions.
-package analysis
+package main
 
 import (
 	"fmt"
@@ -12,38 +7,39 @@ import (
 	"omicon/internal/sim"
 )
 
-// CorruptionEvent is one corruption with the round it happened in.
-type CorruptionEvent struct {
+// corruption is one corruption with the round it happened in.
+type corruption struct {
 	Round   int
 	Process int
 }
 
-// Summary is the digest of one transcript.
-type Summary struct {
+// digest summarizes one recorded transcript: totals, omission pressure,
+// the corruption timeline, decision latency and activity segmentation.
+type digest struct {
 	Rounds         int
 	Messages       int
 	Bits           int64
 	Dropped        int
 	DropRate       float64
-	Corruptions    []CorruptionEvent
+	Corruptions    []corruption
 	FirstDecision  int // round of the first observed decision, -1 if none
 	AllTerminated  int // round when every process had terminated, -1 if never observed
 	PeakDropRound  int
 	PeakDropCount  int
-	ActivityPhases []Phase
+	ActivityPhases []phase
 }
 
-// Phase is a maximal run of rounds with similar message volume,
+// phase is a maximal run of rounds with similar message volume,
 // segmenting the execution into its protocol stages (aggregation rounds,
 // gossip rounds, broadcast spikes).
-type Phase struct {
+type phase struct {
 	From, To int // inclusive round range
 	Messages int // per-round volume representative
 }
 
-// Analyze digests a transcript.
-func Analyze(tr *sim.Transcript) *Summary {
-	s := &Summary{FirstDecision: -1, AllTerminated: -1, PeakDropRound: -1}
+// analyze digests a transcript.
+func analyze(tr *sim.Transcript) *digest {
+	s := &digest{FirstDecision: -1, AllTerminated: -1, PeakDropRound: -1}
 	if tr == nil {
 		return s
 	}
@@ -53,7 +49,7 @@ func Analyze(tr *sim.Transcript) *Summary {
 		s.Bits += r.Bits
 		s.Dropped += r.Dropped
 		for _, p := range r.Corrupted {
-			s.Corruptions = append(s.Corruptions, CorruptionEvent{Round: r.Round, Process: p})
+			s.Corruptions = append(s.Corruptions, corruption{Round: r.Round, Process: p})
 		}
 		if s.FirstDecision < 0 && r.Decided > 0 {
 			s.FirstDecision = r.Round
@@ -75,15 +71,15 @@ func Analyze(tr *sim.Transcript) *Summary {
 
 // segment groups consecutive rounds whose message volume stays within a
 // factor of two of the segment's first round.
-func segment(tr *sim.Transcript) []Phase {
-	var phases []Phase
+func segment(tr *sim.Transcript) []phase {
+	var phases []phase
 	for _, r := range tr.Rounds {
 		n := len(phases)
 		if n > 0 && similar(phases[n-1].Messages, r.Messages) {
 			phases[n-1].To = r.Round
 			continue
 		}
-		phases = append(phases, Phase{From: r.Round, To: r.Round, Messages: r.Messages})
+		phases = append(phases, phase{From: r.Round, To: r.Round, Messages: r.Messages})
 	}
 	return phases
 }
@@ -102,8 +98,8 @@ func similar(a, b int) bool {
 	return hi <= 2*lo
 }
 
-// Report renders the summary as a human-readable multi-line string.
-func (s *Summary) Report() string {
+// report renders the digest as a human-readable multi-line string.
+func (s *digest) report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rounds          : %d\n", s.Rounds)
 	fmt.Fprintf(&b, "messages        : %d (%d bits)\n", s.Messages, s.Bits)
@@ -124,14 +120,20 @@ func (s *Summary) Report() string {
 		}
 	}
 	b.WriteString("\n")
-	if s.FirstDecision >= 0 {
-		fmt.Fprintf(&b, "first decision  : round %d\n", s.FirstDecision)
-	} else {
-		b.WriteString("first decision  : not observed in-transcript\n")
-	}
+	b.WriteString(roundLine("first decision  : ", s.FirstDecision))
+	b.WriteString(roundLine("all terminated  : ", s.AllTerminated))
 	fmt.Fprintf(&b, "activity phases : %d\n", len(s.ActivityPhases))
 	for _, p := range s.ActivityPhases {
 		fmt.Fprintf(&b, "  rounds %4d-%-4d ~%d msgs/round\n", p.From, p.To, p.Messages)
 	}
 	return b.String()
+}
+
+// roundLine renders one "label: round r" line; r < 0 means the event is
+// not in the transcript.
+func roundLine(label string, r int) string {
+	if r < 0 {
+		return label + "not observed in-transcript\n"
+	}
+	return fmt.Sprintf("%sround %d\n", label, r)
 }

@@ -1,4 +1,4 @@
-package analysis
+package main
 
 import (
 	"strings"
@@ -22,7 +22,7 @@ func synthetic() *sim.Transcript {
 }
 
 func TestAnalyzeSynthetic(t *testing.T) {
-	s := Analyze(synthetic())
+	s := analyze(synthetic())
 	if s.Rounds != 4 || s.Messages != 28 || s.Bits != 280 {
 		t.Fatalf("totals: %+v", s)
 	}
@@ -48,15 +48,18 @@ func TestAnalyzeSynthetic(t *testing.T) {
 }
 
 func TestAnalyzeNil(t *testing.T) {
-	s := Analyze(nil)
+	s := analyze(nil)
 	if s.Rounds != 0 || s.FirstDecision != -1 {
 		t.Fatalf("nil transcript: %+v", s)
+	}
+	if rep := s.report(); !strings.Contains(rep, "all terminated  : not observed in-transcript") {
+		t.Fatalf("report of an empty digest:\n%s", rep)
 	}
 }
 
 func TestReportRenders(t *testing.T) {
-	rep := Analyze(synthetic()).Report()
-	for _, want := range []string{"rounds", "omissions", "corruptions", "first decision  : round 3", "activity phases"} {
+	rep := analyze(synthetic()).report()
+	for _, want := range []string{"rounds", "omissions", "corruptions", "first decision  : round 3", "all terminated  : round 4", "activity phases"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
@@ -77,7 +80,7 @@ func TestAnalyzeRealExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Analyze(tr)
+	s := analyze(tr)
 	if int64(s.Rounds) != res.Metrics.Rounds {
 		t.Fatalf("rounds: digest %d vs metrics %d", s.Rounds, res.Metrics.Rounds)
 	}

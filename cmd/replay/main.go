@@ -1,21 +1,22 @@
-// Command replay analyzes a recorded execution — a transcript written by
-// `omicon -record file.json` or a torture corpus entry — and prints its
-// decision latency, corruption timeline, omission pressure and activity
-// segmentation, without re-running the execution.
+// Command replay is the way into a recorded execution — a transcript
+// written by `omicon -record file.json` or a torture corpus entry. It
+// prints the recorded run's digest (decision latency, corruption timeline,
+// omission pressure, activity segmentation), then re-executes the artifact
+// through torture.Replay: the recorded schedule is replayed strictly
+// against a freshly built protocol instance, and the fresh transcript must
+// match the recorded one byte for byte; a corpus entry must also reproduce
+// its recorded violation kind. Re-execution needs the replay metadata of
+// version-1 transcripts.
 //
-// With -verify it also re-executes the artifact (torture.Replay): the
-// recorded schedule is replayed strictly against a freshly built protocol
-// instance, and the fresh transcript must match the recorded one byte for
-// byte; a corpus entry must also reproduce its recorded violation kind.
-// Verification needs the action-level replay metadata of version-1
-// transcripts; older aggregate-only transcripts still analyze fine but
-// cannot be re-executed.
+// -trace writes the re-execution's structured event stream as JSONL (one
+// exec segment: the events the recorded run emitted), which cmd/tracelint
+// verifies.
 //
 //	replay run.json
-//	replay -verify -shards 4 run.json
-//	replay -verify .torture-corpus/torture-floodset-....json
+//	replay -shards 4 run.json
+//	replay -trace entry.trace.jsonl .torture-corpus/torture-floodset-....json
 //
-// Exit status: 0 on success, 1 on a failed verification or any error.
+// Exit status: 0 on success, 1 when the replay diverges or on any error.
 package main
 
 import (
@@ -23,8 +24,8 @@ import (
 	"fmt"
 	"os"
 
-	"omicon/internal/analysis"
 	"omicon/internal/torture"
+	"omicon/internal/trace"
 )
 
 func main() {
@@ -35,11 +36,11 @@ func main() {
 }
 
 func run() error {
-	verify := flag.Bool("verify", false, "re-execute the artifact and require a byte-identical transcript")
-	shards := flag.Int("shards", 0, "simulator shards for -verify (0 = one, stepped on the calling goroutine; -1 = one worker per GOMAXPROCS; k = k shard workers); the replay must match at every count")
+	shards := flag.Int("shards", 0, "simulator shards for the re-execution (0 = one, stepped on the calling goroutine; -1 = one worker per GOMAXPROCS; k = k shard workers); the replay must match at every count")
+	traceFile := flag.String("trace", "", "write the re-execution's structured JSONL event trace to this file")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		return fmt.Errorf("usage: replay [-verify] [-shards k] <transcript.json | corpus-entry.json>")
+		return fmt.Errorf("usage: replay [-shards k] [-trace file] <transcript.json | corpus-entry.json>")
 	}
 	path := flag.Arg(0)
 	e, err := torture.LoadArtifact(path)
@@ -62,12 +63,26 @@ func run() error {
 		fmt.Printf("  recorded %s\n", v)
 	}
 	fmt.Println()
-	fmt.Print(analysis.Analyze(tr).Report())
+	fmt.Print(analyze(tr).report())
 
-	if !*verify {
-		return nil
+	var sink *trace.JSONL
+	var tracer *trace.Tracer
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
+		if err != nil {
+			return err
+		}
+		sink = trace.NewJSONL(f)
+		tracer = trace.New(sink)
 	}
-	res, err := torture.Replay(e, *shards)
+	res, err := torture.Replay(e, *shards, tracer)
+	if sink != nil {
+		// Written on failure too: a diverging replay's events are what
+		// explain the divergence.
+		if cerr := sink.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("trace %s: %w", *traceFile, cerr)
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -86,6 +101,9 @@ func run() error {
 	fmt.Println()
 	if len(e.Violations) > 0 {
 		fmt.Printf("verify: reproduced the recorded %s violation\n", e.Violations[0].Kind)
+	}
+	if *traceFile != "" {
+		fmt.Printf("trace: %s\n", *traceFile)
 	}
 	return nil
 }

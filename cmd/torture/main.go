@@ -4,17 +4,16 @@
 // sanity, transcript determinism) checked after every trial. Failing
 // trials are persisted to a corpus directory as self-contained JSON
 // counterexamples, optionally delta-debugged down to a minimal schedule;
-// `replay -verify <entry>` (cmd/replay) re-executes one deterministically.
+// `replay <entry>` (cmd/replay) re-executes one deterministically, and
+// `replay -trace file <entry>` writes its event trace.
 //
 //	torture -trials 500 -seed 1 -corpus .torture-corpus -shrink
 //	torture -protocols core,benor -adversaries chaos,sched-fuzz -trials 200
 //	torture -inject overbudget -trials 1   # self-test: oracle must fire
 //
 // Observability (see docs/OBSERVABILITY.md): -trace streams every trial's
-// structured events to a JSONL file; when -corpus is set, each failing
-// trial additionally dumps its ring-buffer trace next to the corpus entry
-// as <entry>.trace.jsonl. -cpuprofile and -memprofile write standard pprof
-// profiles of the campaign.
+// structured events to a JSONL file. -cpuprofile and -memprofile write
+// standard pprof profiles of the campaign.
 //
 // Crash recovery (see docs/RESILIENCE.md): -journal appends every
 // completed trial to a CRC-framed write-ahead journal; a campaign killed

@@ -28,6 +28,7 @@ func TestCommandSmoke(t *testing.T) {
 	// entryArg stands for the corpus entry the floodset campaign writes,
 	// found by globbing corpusDir when its row runs.
 	const entryArg = "{entry}"
+	entryTrace := filepath.Join(bin, "entry.trace.jsonl")
 	promFile := filepath.Join(bin, "scrape.prom")
 	promText := "# HELP omicon_smoke_total smoke counter\n# TYPE omicon_smoke_total counter\nomicon_smoke_total 5\n"
 	if err := os.WriteFile(promFile, []byte(promText), 0o644); err != nil {
@@ -43,9 +44,9 @@ func TestCommandSmoke(t *testing.T) {
 		{"omicon", []string{"-n", "36", "-t", "1", "-algo", "optimal", "-adversary", "split-vote", "-record", transcript, "-trace", traceFile}, "decision", 0},
 		{"omicon", []string{"-n", "64", "-t", "1", "-algo", "param", "-adversary", "random-omission", "-seed", "1"}, "decision", 0},
 		{"omicon", []string{"-n", "36", "-t", "1", "-adversary", "split-vote", "-advtrace"}, "| ones=", 0},
-		{"replay", []string{transcript}, "activity phases", 0},
-		{"replay", []string{"-verify", transcript}, "verify: OK", 0},
-		{"replay", []string{"-verify", "-shards", "4", transcript}, "verify: OK", 0},
+		{"omicon", []string{"-n", "64", "-t", "1", "-algo", "param", "-x", "4", "-record", filepath.Join(bin, "unreplayable.json")}, "-x", 1},
+		{"replay", []string{transcript}, "verify: OK", 0},
+		{"replay", []string{"-shards", "4", transcript}, "verify: OK", 0},
 		{"tracelint", []string{traceFile}, "1 segments", 0},
 		{"tracelint", []string{"-metrics", promFile, promFile}, "1 families, 1 samples", 0},
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q"}, "50 trials, 0 violations", 0},
@@ -53,8 +54,9 @@ func TestCommandSmoke(t *testing.T) {
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile}, "50 trials, 0 violations", 0},
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile, "-resume"}, "journal: replayed 50 journaled trials, ran 0 live", 0},
 		{"torture", []string{"-protocols", "floodset", "-adversaries", "flood-split", "-trials", "8", "-seed", "7", "-corpus", corpusDir, "-shrink", "-q"}, "corpus: ", 1},
-		{"replay", []string{entryArg}, "activity phases", 0},
-		{"replay", []string{"-verify", entryArg}, "verify: reproduced the recorded agreement violation", 0},
+		{"replay", []string{entryArg}, "verify: reproduced the recorded agreement violation", 0},
+		{"replay", []string{"-trace", entryTrace, entryArg}, "activity phases", 0},
+		{"tracelint", []string{entryTrace}, "1 segments", 0},
 		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal}, "losses (0 unexpected)", 0},
 		{"tournament", []string{"-trials", "1", "-seed", "1", "-protocols", "phaseking,floodset", "-adversaries", "late,eavesdrop,tree-cut,budget-schedule", "-q", "-out", filepath.Join(bin, "tournament-out"), "-journal", tournamentWal, "-resume"}, "ran 0 live", 0},
 		// No workers ever join: the pool degrades to in-process execution

@@ -127,13 +127,13 @@ func TestExperimentDeterministic(t *testing.T) {
 }
 
 func TestTracedExperimentEmitsTrials(t *testing.T) {
-	ring := trace.NewRing(512)
-	res := TracedExperiment(MajorityGame(32), 1, 8, 100, 3, trace.New(ring))
-	if ring.Len() != 100 {
-		t.Fatalf("got %d events, want one per trial (100)", ring.Len())
+	capture := &trace.Capture{}
+	res := TracedExperiment(MajorityGame(32), 1, 8, 100, 3, trace.New(capture))
+	if len(capture.Events()) != 100 {
+		t.Fatalf("got %d events, want one per trial (100)", len(capture.Events()))
 	}
 	forced := 0
-	for _, e := range ring.Events() {
+	for _, e := range capture.Events() {
 		if e.Kind != trace.KindCoinTrial {
 			t.Fatalf("unexpected event kind %q", e.Kind)
 		}

@@ -253,9 +253,9 @@ func TestScheduleReplayAllocs(t *testing.T) {
 	for _, n := range []int{64, 1024} {
 		for _, shards := range []int{0, 2} {
 			for _, strict := range []bool{false, true} {
-				adv := NewScheduleAdversary(sched)
+				adv := NewScheduleAdversary("replay", sched)
 				if strict {
-					adv = NewStrictScheduleAdversary(sched)
+					adv = NewStrictScheduleAdversary("replay", sched)
 				}
 				if perRound := steadyStateRoundAllocs(t, n, 1, shards, base, adv, twice); perRound > steadyAllocTolerance {
 					t.Errorf("n=%d shards=%d strict=%v: %.2f allocs per steady-state round, want 0",

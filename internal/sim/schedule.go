@@ -121,7 +121,12 @@ func compareEndpoints(m Message, d Drop) int {
 // a recorded drop with no matching message (the execution diverged from
 // the recording) is skipped. A round number the schedule lists twice
 // replays its last entry. Step allocates nothing once warm.
+//
+// The replayer reports the name it was built with, normally the recorded
+// adversary's, so a replay's transcript header and trace match the
+// original run's.
 type ScheduleAdversary struct {
+	name   string
 	rounds []ScheduleRound // ascending by Round, one entry per round number
 	strict bool
 
@@ -133,8 +138,8 @@ type ScheduleAdversary struct {
 	drop    []int
 }
 
-// NewScheduleAdversary returns the lenient replayer.
-func NewScheduleAdversary(s Schedule) *ScheduleAdversary {
+// NewScheduleAdversary returns the lenient replayer of s, reporting name.
+func NewScheduleAdversary(name string, s Schedule) *ScheduleAdversary {
 	rounds := slices.Clone(s.Rounds)
 	slices.SortStableFunc(rounds, func(a, b ScheduleRound) int { return cmp.Compare(a.Round, b.Round) })
 	last := rounds[:0]
@@ -143,18 +148,19 @@ func NewScheduleAdversary(s Schedule) *ScheduleAdversary {
 			last = append(last, r)
 		}
 	}
-	return &ScheduleAdversary{rounds: last}
+	return &ScheduleAdversary{name: name, rounds: last}
 }
 
-// NewStrictScheduleAdversary returns the verbatim replayer.
-func NewStrictScheduleAdversary(s Schedule) *ScheduleAdversary {
-	a := NewScheduleAdversary(s)
+// NewStrictScheduleAdversary returns the verbatim replayer of s, reporting
+// name.
+func NewStrictScheduleAdversary(name string, s Schedule) *ScheduleAdversary {
+	a := NewScheduleAdversary(name, s)
 	a.strict = true
 	return a
 }
 
 // Name implements Adversary.
-func (a *ScheduleAdversary) Name() string { return "schedule-replay" }
+func (a *ScheduleAdversary) Name() string { return a.name }
 
 // Step implements Adversary. The returned slices are reused by the next
 // call.

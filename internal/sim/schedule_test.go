@@ -101,14 +101,14 @@ func TestScheduleRoundTripReplay(t *testing.T) {
 				sched = tc.edit(sched)
 			}
 			for _, strict := range []bool{false, true} {
-				replayer := NewScheduleAdversary(sched)
+				replayer := NewScheduleAdversary(orig.Adversary, sched)
 				if strict {
-					replayer = NewStrictScheduleAdversary(sched)
+					replayer = NewStrictScheduleAdversary(orig.Adversary, sched)
 				}
 				replayed := recordBroadcast(t, 10, 2, tc.copies, 42, replayer)
 				// Same seed + same schedule must reproduce the execution
-				// byte-for-byte, modulo the adversary name in the header.
-				replayed.Adversary = orig.Adversary
+				// byte-for-byte, header included: the replayer reports the
+				// recorded adversary name.
 				if !bytes.Equal(transcriptBytes(t, orig), transcriptBytes(t, replayed)) {
 					t.Fatalf("strict=%v: replayed transcript differs\norig:   %s\nreplay: %s",
 						strict, orig.Summary(), replayed.Summary())
@@ -186,7 +186,7 @@ func TestLenientReplayClampsIllegalSchedule(t *testing.T) {
 		Corrupt: []int{0, 1, 2},
 		Drops:   []Drop{{From: 5, To: 6}, {From: 0, To: 3}},
 	}}}
-	rec, tr := NewRecorder(NewScheduleAdversary(sched))
+	rec, tr := NewRecorder(NewScheduleAdversary("clamped", sched))
 	res, err := Run(Config{N: 10, T: 1, Inputs: inputs(10, 5), Seed: 3, Adversary: rec}, majorityOnce)
 	if err != nil {
 		t.Fatalf("lenient replay must stay legal, got %v", err)
@@ -201,7 +201,7 @@ func TestLenientReplayClampsIllegalSchedule(t *testing.T) {
 
 func TestStrictReplayReproducesBudgetViolation(t *testing.T) {
 	sched := Schedule{Rounds: []ScheduleRound{{Round: 1, Corrupt: []int{0, 1}}}}
-	adv := NewStrictScheduleAdversary(sched)
+	adv := NewStrictScheduleAdversary("over-budget", sched)
 	_, err := Run(Config{N: 10, T: 1, Inputs: inputs(10, 5), Seed: 3, Adversary: adv}, majorityOnce)
 	if err == nil {
 		t.Fatal("strict replay of an over-budget schedule must reproduce ErrBudget")

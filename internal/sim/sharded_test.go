@@ -99,14 +99,14 @@ func runConformance(t *testing.T, sc conformanceScenario, shards int) conformanc
 		adv = NoFaults{}
 	}
 	rec, transcript := NewRecorder(adv)
-	ring := trace.NewRing(1 << 16)
+	capture := &trace.Capture{}
 	cfg := Config{
 		N: sc.n, T: sc.t, Inputs: inputs(sc.n, sc.ones), Seed: sc.seed,
-		Adversary: rec, Trace: trace.New(ring), Shards: shards,
+		Adversary: rec, Trace: trace.New(capture), Shards: shards,
 	}
 	res, err := Run(cfg, sc.proto)
 	var sb strings.Builder
-	for _, e := range ring.Events() {
+	for _, e := range capture.Events() {
 		sb.WriteString(e.String())
 		sb.WriteByte('\n')
 	}
@@ -114,7 +114,7 @@ func runConformance(t *testing.T, sc conformanceScenario, shards int) conformanc
 	if werr := transcript.WriteJSON(&buf); werr != nil {
 		t.Fatalf("transcript: %v", werr)
 	}
-	sums, verr := trace.Verify(ring.Events())
+	sums, verr := trace.Verify(capture.Events())
 	if verr != nil {
 		t.Fatalf("shards=%d: trace does not verify: %v", shards, verr)
 	}
@@ -351,15 +351,15 @@ func TestShardedErrorConformance(t *testing.T) {
 // the sharded engine: an aborted traced execution still closes its segment
 // with reconciling residuals.
 func TestShardedTracedAbortReconciles(t *testing.T) {
-	ring := trace.NewRing(4096)
+	capture := &trace.Capture{}
 	_, err := Run(Config{
 		N: 4, T: 1, Inputs: []int{1, 0, 1, 0}, Seed: 3,
-		MaxRounds: 2, Trace: trace.New(ring), Shards: 2,
+		MaxRounds: 2, Trace: trace.New(capture), Shards: 2,
 	}, echoProto)
 	if err == nil {
 		t.Fatal("expected ErrMaxRounds")
 	}
-	if _, err := trace.Verify(ring.Events()); err != nil {
+	if _, err := trace.Verify(capture.Events()); err != nil {
 		t.Fatalf("aborted sharded run's trace does not verify: %v", err)
 	}
 }

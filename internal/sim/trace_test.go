@@ -39,17 +39,17 @@ func echoProto(env Env, input int) (int, error) {
 // level: a traced execution yields an event stream whose deltas sum
 // exactly to the result's final snapshot.
 func TestTracedRunReconciles(t *testing.T) {
-	ring := trace.NewRing(4096)
+	capture := &trace.Capture{}
 	res, err := Run(Config{
 		N: 8, T: 2,
 		Inputs: []int{1, 0, 1, 1, 0, 1, 0, 1},
 		Seed:   7,
-		Trace:  trace.New(ring),
+		Trace:  trace.New(capture),
 	}, echoProto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, err := trace.Verify(ring.Events())
+	sums, err := trace.Verify(capture.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTracedRunReconciles(t *testing.T) {
 	// "gossip", all randomness in "coin".
 	var gossipMsgs, coinBits int64
 	var decides, roundEnds int
-	for _, e := range ring.Events() {
+	for _, e := range capture.Events() {
 		switch e.Kind {
 		case trace.KindSpanDelta:
 			switch e.Span {
@@ -124,16 +124,16 @@ func TestUntracedRunHasNoObserver(t *testing.T) {
 // its trace segment with reconciling residuals (the post event picks up the
 // half-accounted round).
 func TestTracedAbortReconciles(t *testing.T) {
-	ring := trace.NewRing(4096)
+	capture := &trace.Capture{}
 	_, err := Run(Config{
 		N: 4, T: 1, Inputs: []int{1, 0, 1, 0}, Seed: 3,
 		MaxRounds: 2,
-		Trace:     trace.New(ring),
+		Trace:     trace.New(capture),
 	}, echoProto)
 	if err == nil {
 		t.Fatal("expected ErrMaxRounds")
 	}
-	if _, err := trace.Verify(ring.Events()); err != nil {
+	if _, err := trace.Verify(capture.Events()); err != nil {
 		t.Fatalf("aborted run's trace does not verify: %v", err)
 	}
 }

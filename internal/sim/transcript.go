@@ -23,8 +23,7 @@ const TranscriptVersion = 1
 // A Transcript is produced by wrapping the configured adversary with a
 // Recorder; it sees exactly the engine's per-round views and actions.
 // The replay metadata (Protocol, Seed, Inputs) is not visible to the
-// recorder; harnesses that want `-verify`-style replay fill it after the
-// run.
+// recorder; harnesses whose recordings must replay fill it after the run.
 type Transcript struct {
 	Version int `json:"version,omitempty"`
 	N       int `json:"n"`

@@ -54,7 +54,7 @@ func FuzzScheduleReplay(f *testing.F) {
 		if s.NumActions() > 4096 {
 			return // pathological blobs add time, not coverage
 		}
-		run, verdict := replaySchedule(spec, proto, bound, at, s, false, 0)
+		run, verdict := replaySchedule(spec, proto, bound, at, s, false, 0, nil)
 		if run.err != nil {
 			tt.Fatalf("lenient replay must keep every schedule legal, engine said: %v", run.err)
 		}

@@ -33,15 +33,13 @@ type Job struct {
 	Envelope metrics.Envelope `json:"envelope"`
 	// Shards selects the simulator execution mode (sim.Config.Shards).
 	Shards int `json:"shards,omitempty"`
-	// Ring records the per-trial flight recorder (set when the campaign
-	// persists a corpus); Capture records the campaign trace buffer (set
-	// when the campaign is traced).
-	Ring    bool `json:"ring,omitempty"`
+	// Capture records the campaign trace buffer (set when the campaign is
+	// traced).
 	Capture bool `json:"capture,omitempty"`
 }
 
 // Outcome is one primary execution's complete result: the transcript,
-// the oracle verdict, and the trace buffers the commit phase replays.
+// the oracle verdict, and the trace buffer the commit phase replays.
 // All fields survive a JSON round trip byte-identically, so an Outcome
 // computed by a remote worker commits exactly like a local one.
 type Outcome struct {
@@ -53,9 +51,8 @@ type Outcome struct {
 	Transcript *sim.Transcript `json:"transcript"`
 	Violations []Violation     `json:"violations,omitempty"`
 	MCMisses   int             `json:"mcMisses,omitempty"`
-	// Ring holds the flight-recorder events (Job.Ring), Capture the
-	// campaign trace events (Job.Capture), both in emission order.
-	Ring    []trace.Event `json:"ring,omitempty"`
+	// Capture holds the campaign trace events (Job.Capture) in emission
+	// order.
 	Capture []trace.Event `json:"capture,omitempty"`
 	// Quarantined is set by the dispatch layer, never by workers: the
 	// trial crashed enough workers in a row to be isolated, and this
@@ -87,25 +84,17 @@ func ExecuteJob(job Job) (*Outcome, error) {
 		return nil, err
 	}
 
-	// The primary trial is traced into a per-trial capture buffer
-	// (replayed into the campaign tracer at commit, in trial order) and,
-	// when the campaign persists a corpus, also into a per-trial flight
-	// recorder so a failure can dump its own event history.
+	// A traced campaign's primary trial is traced into a per-trial capture
+	// buffer, replayed into the campaign tracer at commit, in trial order.
 	out := &Outcome{AdvName: adv.Name(), Bound: bound}
-	var ring *trace.Ring
 	var capture *trace.Capture
-	var sinks []trace.Sink
-	if job.Ring {
-		ring = trace.NewRing(ringCap)
-		sinks = append(sinks, ring)
-	}
+	var tracer *trace.Tracer
 	if job.Capture {
 		capture = &trace.Capture{}
-		sinks = append(sinks, capture)
+		tracer = trace.New(capture)
 	}
-	tracer := trace.New(trace.MultiSink(sinks...))
 
-	run := runOnce(spec, proto, bound, adv, job.N, job.T, job.Inputs, job.Seed, tracer, job.Shards)
+	run := runOnce(spec.Name, proto, bound, adv, job.N, job.T, job.Inputs, job.Seed, tracer, job.Shards)
 	verdict := Check(CheckInput{
 		N: job.N, T: job.T, RoundBound: bound, Envelope: job.Envelope,
 		Properties: spec.Properties,
@@ -114,9 +103,6 @@ func ExecuteJob(job Job) (*Outcome, error) {
 	out.Transcript = run.tr
 	out.Violations = verdict.Violations
 	out.MCMisses = verdict.MonteCarloMisses
-	if ring != nil {
-		out.Ring = ring.Events()
-	}
 	if capture != nil {
 		out.Capture = capture.Events()
 	}

@@ -1,13 +1,9 @@
 package torture
 
 import (
-	"bytes"
-	"encoding/json"
-
 	"omicon/internal/journal"
 	"omicon/internal/metrics"
 	"omicon/internal/sim"
-	"omicon/internal/trace"
 )
 
 // trialRecordVersion versions the torture journal payload schema.
@@ -17,11 +13,12 @@ const trialRecordVersion = 1
 // the commit phase needs to fold the trial into the report without
 // re-executing it — stats contributions, the recorded schedule (the base
 // later schedule-mutating adversaries chain from), and, for failing
-// trials, the full corpus entry plus its ring-buffer trace dump. Replaying
-// a record through the commit path reproduces the exact report, log lines
-// and corpus files the live trial produced, which is what makes an
-// interrupted-then-resumed campaign byte-identical to an uninterrupted
-// one.
+// trials, the full corpus entry. Replaying a record through the commit
+// path reproduces the exact report, log lines and corpus files the live
+// trial produced, which is what makes an interrupted-then-resumed campaign
+// byte-identical to an uninterrupted one. Decoding ignores unknown fields,
+// so journals whose failing records also carry a "trace" event dump (as
+// older builds wrote them) still resume to the same artifacts.
 type trialRecord struct {
 	V          int          `json:"v"`
 	Trial      int          `json:"trial"`
@@ -35,9 +32,6 @@ type trialRecord struct {
 	Schedule   sim.Schedule `json:"schedule"`
 	// Entry is set for failing trials only; nil records a pass.
 	Entry *Entry `json:"entry,omitempty"`
-	// Trace is the failing trial's ring-buffer dump, byte-for-byte the
-	// JSONL file written next to the corpus entry.
-	Trace []byte `json:"trace,omitempty"`
 }
 
 // trialKey content-hashes everything that determines a trial's execution:
@@ -70,19 +64,3 @@ type campaignConfig struct {
 }
 
 const campaignConfigKey = "torture-campaign/v1"
-
-// traceJSONL renders a ring dump in the trace JSONL format (one event per
-// line, as trace.ReadFile and cmd/tracelint expect). The bytes are both
-// journaled and written next to the corpus entry, live and on resume.
-func traceJSONL(events []trace.Event) []byte {
-	var buf bytes.Buffer
-	for _, e := range events {
-		b, err := json.Marshal(e)
-		if err != nil {
-			continue
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}

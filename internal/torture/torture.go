@@ -16,12 +16,6 @@ import (
 	"omicon/internal/trace"
 )
 
-// ringCap bounds the per-trial flight recorder. 8192 events comfortably
-// covers the largest matrix trials (hundreds of rounds, a handful of span
-// and corruption events per round) while keeping the per-trial allocation
-// fixed.
-const ringCap = 8192
-
 // Options configures a torture run.
 type Options struct {
 	// Trials is the number of randomized trials spread round-robin over
@@ -56,10 +50,9 @@ type Options struct {
 	// Trace receives the structured event stream of every primary trial
 	// (one exec-start..exec-end segment per trial). Determinism re-runs
 	// and shrink replays are never traced, so the stream stays one
-	// segment per campaign trial. Independently of Trace, when CorpusDir
-	// is set each trial also records into a fixed-size ring buffer and a
-	// failing trial's ring is dumped next to its corpus entry as
-	// <entry>.trace.jsonl.
+	// segment per campaign trial. A corpus entry's own trace comes from
+	// re-executing it (Replay), which emits exactly the primary trial's
+	// segment.
 	Trace *trace.Tracer
 	// Log, when set, receives one line per violation and a final summary.
 	Log io.Writer
@@ -173,9 +166,6 @@ type Report struct {
 	Failures []*Entry
 	// CorpusPaths lists the files written under Options.CorpusDir.
 	CorpusPaths []string
-	// TracePaths lists the per-failure ring-buffer dumps written next to
-	// the corpus entries (same order as CorpusPaths).
-	TracePaths []string
 }
 
 // Summary renders the report as a short human-readable block.
@@ -198,9 +188,6 @@ func (r *Report) Summary() string {
 	}
 	for _, p := range r.CorpusPaths {
 		fmt.Fprintf(&b, "  corpus: %s\n", p)
-	}
-	for _, p := range r.TracePaths {
-		fmt.Fprintf(&b, "  trace: %s\n", p)
 	}
 	return b.String()
 }
@@ -349,13 +336,15 @@ type trialRun struct {
 	tr  *sim.Transcript
 }
 
-func runOnce(spec ProtoSpec, proto sim.Protocol, bound int, adv sim.Adversary, n, t int, inputs []int, seed uint64, tracer *trace.Tracer, shards int) trialRun {
+// runOnce records one execution of proto against adv; the transcript's
+// header names the protocol protoName.
+func runOnce(protoName string, proto sim.Protocol, bound int, adv sim.Adversary, n, t int, inputs []int, seed uint64, tracer *trace.Tracer, shards int) trialRun {
 	rec, tr := sim.NewRecorder(adv)
 	res, err := sim.Run(sim.Config{
 		N: n, T: t, Inputs: inputs, Seed: seed, Adversary: rec,
 		MaxRounds: bound + 64, Trace: tracer, Shards: shards,
 	}, proto)
-	tr.Protocol = spec.Name
+	tr.Protocol = protoName
 	tr.Seed = seed
 	tr.Inputs = append([]int(nil), inputs...)
 	return trialRun{res: res, err: err, tr: tr}
@@ -418,7 +407,7 @@ func Run(o Options) (*Report, error) {
 			Trial: sp.i, Protocol: sp.c.proto.Name, Adversary: sp.c.adv.Name,
 			N: sp.n, T: sp.t, Seed: sp.seed, Inputs: sp.inputs, Base: sp.base,
 			Inject: o.Inject, Envelope: o.Envelope, Shards: o.Shards,
-			Ring: o.CorpusDir != "", Capture: o.Trace.Enabled(),
+			Capture: o.Trace.Enabled(),
 		}
 		if o.Remote != nil {
 			return o.Remote(ctx, job)
@@ -462,7 +451,7 @@ func Run(o Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			run2 := runOnce(sp.c.proto, proto, oc.Bound, adv2, sp.n, sp.t, sp.inputs, sp.seed, nil, o.Shards)
+			run2 := runOnce(sp.c.proto.Name, proto, oc.Bound, adv2, sp.n, sp.t, sp.inputs, sp.seed, nil, o.Shards)
 			b1, b2 := transcriptBytes(oc.Transcript), transcriptBytes(run2.tr)
 			if !bytes.Equal(b1, b2) {
 				verdict.add(KindDeterminism,
@@ -492,9 +481,6 @@ func Run(o Options) (*Report, error) {
 			min, runs := shrinkEntry(sp.c.proto, proto, oc.Bound, rec.Entry, verdict.Violations[0].Kind, o.ShrinkMaxRuns, o.Shards)
 			rec.Entry.MinSchedule = &min
 			rec.Entry.ShrinkRuns = runs
-		}
-		if o.CorpusDir != "" {
-			rec.Trace = traceJSONL(oc.Ring)
 		}
 		return rec, nil
 	}
@@ -548,12 +534,6 @@ func Run(o Options) (*Report, error) {
 			}
 			report.CorpusPaths = append(report.CorpusPaths, path)
 			logf("corpus: %s", path)
-			tracePath := strings.TrimSuffix(path, ".json") + ".trace.jsonl"
-			if err := campaign.WriteFileAtomic(tracePath, rec.Trace); err != nil {
-				return fmt.Errorf("torture: persisting trace artifact: %w", err)
-			}
-			report.TracePaths = append(report.TracePaths, tracePath)
-			logf("trace: %s", tracePath)
 		}
 		return nil
 	}
@@ -623,16 +603,18 @@ func transcriptBytes(tr *sim.Transcript) []byte {
 }
 
 // replaySchedule re-executes schedule s at the coordinates e records (n,
-// t, inputs and seed) and judges the run with the protocol's declared
-// properties. strict selects the verbatim replayer; the lenient one clamps
-// s to legality (sim.ScheduleAdversary). It is the one re-execution of a
-// schedule: Replay, the shrinker and the replay fuzz tests all run it.
-func replaySchedule(spec ProtoSpec, proto sim.Protocol, bound int, e *Entry, s sim.Schedule, strict bool, shards int) (trialRun, Verdict) {
-	adv := sim.NewScheduleAdversary(s)
+// t, inputs and seed, under its protocol and adversary names) and judges
+// the run with the protocol's declared properties. strict selects the
+// verbatim replayer; the lenient one clamps s to legality
+// (sim.ScheduleAdversary). The run emits into tracer (nil: untraced). It
+// is the one re-execution of a schedule: Replay, the shrinker and the
+// replay fuzz tests all run it.
+func replaySchedule(spec ProtoSpec, proto sim.Protocol, bound int, e *Entry, s sim.Schedule, strict bool, shards int, tracer *trace.Tracer) (trialRun, Verdict) {
+	adv := sim.NewScheduleAdversary(e.Adversary, s)
 	if strict {
-		adv = sim.NewStrictScheduleAdversary(s)
+		adv = sim.NewStrictScheduleAdversary(e.Adversary, s)
 	}
-	run := runOnce(spec, proto, bound, adv, e.N, e.T, e.Inputs, e.Seed, nil, shards)
+	run := runOnce(e.Protocol, proto, bound, adv, e.N, e.T, e.Inputs, e.Seed, tracer, shards)
 	return run, Check(CheckInput{
 		N: e.N, T: e.T, RoundBound: bound, Properties: spec.Properties,
 		Result: run.res, RunErr: run.err, Transcript: run.tr,
@@ -646,7 +628,7 @@ func replaySchedule(spec ProtoSpec, proto sim.Protocol, bound int, e *Entry, s s
 func shrinkEntry(spec ProtoSpec, proto sim.Protocol, bound int, e *Entry, target Kind, maxRuns, shards int) (sim.Schedule, int) {
 	strict := target == KindLegality
 	return Shrink(e.Schedule, func(s sim.Schedule) bool {
-		_, v := replaySchedule(spec, proto, bound, e, s, strict, shards)
+		_, v := replaySchedule(spec, proto, bound, e, s, strict, shards, nil)
 		return v.Has(target)
 	}, maxRuns)
 }
@@ -660,8 +642,8 @@ type ReplayResult struct {
 	// ByteIdentical reports whether the replayed transcript matches the
 	// recorded one byte for byte.
 	ByteIdentical bool
-	// Transcript is the replay's recording, under the recorded header's
-	// protocol and adversary names.
+	// Transcript is the replay's recording, under the recorded protocol
+	// and adversary names.
 	Transcript *sim.Transcript
 	// RunErr is the replayed execution's engine error, nil when it ran to
 	// completion.
@@ -676,7 +658,9 @@ type ReplayResult struct {
 // as no-ops, such as a re-corruption, and the illegal actions of a
 // legality violation. The run is judged with the protocol's declared
 // properties, never with a campaign Envelope: entries do not record it.
-func Replay(e *Entry, shards int) (*ReplayResult, error) {
+// The re-execution emits into tracer (nil: untraced): one exec segment,
+// the same events the recorded run emitted.
+func Replay(e *Entry, shards int, tracer *trace.Tracer) (*ReplayResult, error) {
 	if e.Transcript == nil || !e.Transcript.HasReplayMeta() {
 		return nil, fmt.Errorf("torture: replay needs replay metadata (protocol, seed, inputs); " +
 			"this transcript predates the action-level format — re-record it with the current build")
@@ -692,10 +676,7 @@ func Replay(e *Entry, shards int) (*ReplayResult, error) {
 	if e.RoundBound > 0 {
 		bound = e.RoundBound
 	}
-	run, verdict := replaySchedule(spec, proto, bound, e, e.Schedule, true, shards)
-	// The replay runs under the schedule adversary and the canonical
-	// protocol name; the header keeps the recorded names.
-	run.tr.Protocol, run.tr.Adversary = e.Transcript.Protocol, e.Transcript.Adversary
+	run, verdict := replaySchedule(spec, proto, bound, e, e.Schedule, true, shards, tracer)
 	out := &ReplayResult{
 		Verdict:       verdict,
 		ByteIdentical: bytes.Equal(transcriptBytes(e.Transcript), transcriptBytes(run.tr)),

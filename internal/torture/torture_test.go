@@ -110,12 +110,12 @@ func TestFloodsetPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, v := replaySchedule(spec, proto, bound, entry, *entry.MinSchedule, false, 0); !v.Has(KindAgreement) {
+	if _, v := replaySchedule(spec, proto, bound, entry, *entry.MinSchedule, false, 0, nil); !v.Has(KindAgreement) {
 		t.Fatalf("minimal schedule does not reproduce the agreement violation: %v", v.Violations)
 	}
 
 	// Byte-identical replay from the corpus file.
-	res, err := Replay(entry, 0)
+	res, err := Replay(entry, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestReplayReproducesReCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := TrialInputs(n, 0)
-	run := runOnce(spec, proto, bound, reCorruptor{}, n, tt, inputs, seed, nil, 0)
+	run := runOnce(spec.Name, proto, bound, reCorruptor{}, n, tt, inputs, seed, nil, 0)
 	v := Check(CheckInput{
 		N: n, T: tt, RoundBound: bound, Properties: spec.Properties,
 		Result: run.res, RunErr: run.err, Transcript: run.tr,
@@ -176,7 +176,7 @@ func TestReplayReproducesReCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(loaded, 0)
+	res, err := Replay(loaded, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestInjectOverbudget(t *testing.T) {
 	if !strings.Contains(entry.Adversary, "overbudget") {
 		t.Fatalf("entry adversary %q does not mark the injection", entry.Adversary)
 	}
-	res, err := Replay(entry, 0)
+	res, err := Replay(entry, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,17 +300,14 @@ func TestUnknownNames(t *testing.T) {
 	}
 }
 
-// TestFailureTraceArtifact checks the observability contract of a failing
-// trial: its ring-buffer trace is dumped next to the corpus entry, the dump
-// is a parseable, self-consistent event stream, and the campaign tracer saw
-// exactly one exec segment per trial.
+// TestFailureTraceArtifact checks the campaign trace of a failing
+// campaign: the stream holds exactly one exec segment per trial, because
+// shrink replays and determinism re-runs run untraced.
 func TestFailureTraceArtifact(t *testing.T) {
-	dir := t.TempDir()
-	campaign := trace.NewRing(1 << 15)
+	campaign := &trace.Capture{}
 	rep, err := Run(Options{
 		Trials: 8, Seed: 7,
 		Protocols: []string{"floodset"}, Adversaries: []string{"flood-split"},
-		CorpusDir:        dir,
 		Shrink:           true, // shrink replays must not pollute the stream
 		DeterminismEvery: 2,    // nor determinism re-runs
 		Trace:            trace.New(campaign),
@@ -321,36 +318,81 @@ func TestFailureTraceArtifact(t *testing.T) {
 	if rep.Violations == 0 {
 		t.Fatal("flood-split failed to break floodset")
 	}
-	if len(rep.TracePaths) != len(rep.CorpusPaths) {
-		t.Fatalf("%d trace artifacts for %d corpus entries", len(rep.TracePaths), len(rep.CorpusPaths))
-	}
-	for i, p := range rep.TracePaths {
-		if want := strings.TrimSuffix(rep.CorpusPaths[i], ".json") + ".trace.jsonl"; p != want {
-			t.Fatalf("trace artifact %q not next to corpus entry %q", p, rep.CorpusPaths[i])
-		}
-		events, err := trace.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums, err := trace.Verify(events)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if len(sums) != 1 {
-			t.Fatalf("%s: %d segments, want 1", p, len(sums))
-		}
-	}
-	if !strings.Contains(rep.Summary(), ".trace.jsonl") {
-		t.Fatal("report summary does not surface the trace artifacts")
-	}
-
-	// The campaign stream must hold one segment per trial — shrink replays
-	// and determinism re-runs run untraced.
 	sums, err := trace.Verify(campaign.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sums) != rep.Trials {
 		t.Fatalf("campaign stream has %d segments for %d trials", len(sums), rep.Trials)
+	}
+}
+
+// TestReplayTraceMatchesSidecar makes re-execution the way into a
+// recorded run's events. Each corpus entry of the seed-7 FloodSet
+// campaign, replayed into a JSONL tracer at one shard and on shard
+// workers, must write exactly the bytes of the per-trial event file that
+// earlier builds persisted next to the entry (testdata/<entry>.trace.jsonl),
+// as one self-consistent segment. The campaign itself writes only the
+// entries.
+func TestReplayTraceMatchesSidecar(t *testing.T) {
+	dir := t.TempDir()
+	rep, err := Run(Options{
+		Trials: 8, Seed: 7,
+		Protocols: []string{"floodset"}, Adversaries: []string{"flood-split"},
+		CorpusDir: dir, Shrink: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := filepath.Glob(filepath.Join("testdata", "*.trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.CorpusPaths) == 0 || len(rep.CorpusPaths) != len(golden) {
+		t.Fatalf("%d corpus entries for %d golden traces", len(rep.CorpusPaths), len(golden))
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if filepath.Ext(f.Name()) != ".json" {
+			t.Fatalf("campaign wrote %s next to its corpus entries", f.Name())
+		}
+	}
+
+	for _, path := range rep.CorpusPaths {
+		want, err := os.ReadFile(filepath.Join("testdata", strings.TrimSuffix(filepath.Base(path), ".json")+".trace.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := LoadArtifact(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{0, 2} {
+			var got bytes.Buffer
+			sink := trace.NewJSONL(&got)
+			res, err := Replay(e, shards, trace.New(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !res.Reproduced || !res.ByteIdentical {
+				t.Fatalf("%s shards=%d: reproduced=%v byte-identical=%v", path, shards, res.Reproduced, res.ByteIdentical)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s shards=%d: replayed trace differs from the recorded one:\n got %s\nwant %s", path, shards, got.Bytes(), want)
+			}
+			events, err := trace.ReadAll(&got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sums, err := trace.Verify(events); err != nil || len(sums) != 1 {
+				t.Fatalf("%s shards=%d: %d segments (%v), want 1", path, shards, len(sums), err)
+			}
+		}
 	}
 }

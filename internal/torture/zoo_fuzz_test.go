@@ -49,7 +49,7 @@ func FuzzAdversaryScheduleReplay(f *testing.F) {
 			adv = adversary.NewBudgetSchedule(t, 1+float64(param%8)/2)
 		}
 
-		live := runOnce(spec, proto, bound, adv, n, t, inputs, seed, nil, 0)
+		live := runOnce(spec.Name, proto, bound, adv, n, t, inputs, seed, nil, 0)
 		if live.err != nil {
 			tt.Fatalf("engine rejected %s: %v", adv.Name(), live.err)
 		}
@@ -63,14 +63,12 @@ func FuzzAdversaryScheduleReplay(f *testing.F) {
 
 		// Strict replay: the recorded schedule must reproduce the exact
 		// execution — the engine must accept every recorded action as-is.
-		at := &Entry{N: n, T: t, Inputs: inputs, Seed: seed}
-		replay, _ := replaySchedule(spec, proto, bound, at, live.tr.Schedule(), true, 0)
+		at := &Entry{Protocol: spec.Name, Adversary: adv.Name(), N: n, T: t, Inputs: inputs, Seed: seed}
+		replay, _ := replaySchedule(spec, proto, bound, at, live.tr.Schedule(), true, 0, nil)
 		if replay.err != nil {
 			tt.Fatalf("strict replay of %s's schedule rejected: %v", adv.Name(), replay.err)
 		}
-		want := *live.tr
-		want.Adversary = replay.tr.Adversary // only behavior is compared
-		b1, b2 := transcriptBytes(&want), transcriptBytes(replay.tr)
+		b1, b2 := transcriptBytes(live.tr), transcriptBytes(replay.tr)
 		if !bytes.Equal(b1, b2) {
 			tt.Fatalf("replay of %s's schedule diverged (%d vs %d bytes)", adv.Name(), len(b1), len(b2))
 		}

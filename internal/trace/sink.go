@@ -7,63 +7,7 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 )
-
-// Ring is a lock-free fixed-capacity flight recorder keeping the most
-// recent events. Writers only perform one atomic increment and one atomic
-// pointer store, so concurrent writers never contend on a lock;
-// Events must only be called after the traced execution has quiesced.
-type Ring struct {
-	mask uint64
-	next atomic.Uint64
-	buf  []atomic.Pointer[Event]
-}
-
-// NewRing returns a ring holding the last `capacity` events (rounded up to
-// a power of two, minimum 16).
-func NewRing(capacity int) *Ring {
-	size := 16
-	for size < capacity {
-		size <<= 1
-	}
-	return &Ring{mask: uint64(size - 1), buf: make([]atomic.Pointer[Event], size)}
-}
-
-// Emit implements Sink.
-func (r *Ring) Emit(e Event) {
-	i := r.next.Add(1) - 1
-	r.buf[i&r.mask].Store(&e)
-}
-
-// Len returns the number of events emitted so far (not capped at capacity).
-func (r *Ring) Len() int { return int(r.next.Load()) }
-
-// Events returns the retained events in emission order, oldest first. The
-// result is a copy; the ring keeps recording.
-func (r *Ring) Events() []Event {
-	n := r.next.Load()
-	size := uint64(len(r.buf))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]Event, 0, n-start)
-	for i := start; i < n; i++ {
-		if p := r.buf[i&r.mask].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	return out
-}
-
-// Reset discards all retained events.
-func (r *Ring) Reset() {
-	for i := range r.buf {
-		r.buf[i].Store(nil)
-	}
-	r.next.Store(0)
-}
 
 // JSONL streams events as JSON lines. Emissions are serialized with a
 // mutex; call Flush (or Close) before reading the underlying writer.

@@ -7,12 +7,12 @@
 //   - a disabled Tracer (the zero value, or nil) is the no-op sink: every
 //     emission is a nil-check and a branch, so tracing costs nothing on the
 //     engine hot path when off (see BenchmarkDisabledEmit);
-//   - Ring is a lock-free in-memory ring buffer keeping the last K events,
-//     the flight recorder the torture harness dumps next to a failing
-//     trial's persisted seed;
+//   - Capture records every event in memory, in emission order: the
+//     per-trial buffer parallel campaign drivers replay into their stream
+//     in trial order;
 //   - JSONL streams events as JSON lines to an io.Writer, the persistent
-//     format cmd/omicon -trace and cmd/torture -trace write and
-//     cmd/tracelint verifies.
+//     format the -trace flags of cmd/omicon, cmd/torture, cmd/tournament
+//     and cmd/replay write and cmd/tracelint verifies.
 //
 // The event stream is self-checking: every execution segment opens with
 // KindExecStart and closes with KindExecEnd carrying the final aggregate
@@ -102,7 +102,7 @@ type Event struct {
 }
 
 // String renders the event as one human-readable line (the narrative form
-// used when eyeballing ring dumps).
+// used when eyeballing a trace).
 func (e Event) String() string {
 	s := fmt.Sprintf("r%-4d %-10s", e.Round, e.Kind)
 	if e.Proc >= 0 {
@@ -159,8 +159,8 @@ func New(sink Sink) *Tracer {
 func (t *Tracer) Enabled() bool { return t != nil && t.sink != nil }
 
 // Emit forwards one event to the sink; it is a no-op on a nil or disabled
-// tracer. Tracer itself implements Sink, so tracers compose (a torture
-// trial tees its ring buffer into the campaign tracer).
+// tracer. Tracer itself implements Sink, so tracers compose (MultiSink
+// tees one execution into several tracers).
 func (t *Tracer) Emit(e Event) {
 	if t == nil || t.sink == nil {
 		return

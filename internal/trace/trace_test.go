@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"omicon/internal/metrics"
@@ -80,56 +79,12 @@ func TestReadAllRejectsMalformedLine(t *testing.T) {
 	}
 }
 
-func TestRingKeepsRecentEvents(t *testing.T) {
-	r := NewRing(16)
-	for i := 0; i < 40; i++ {
-		r.Emit(Event{Kind: KindNote, Proc: -1, Value: int64(i)})
-	}
-	if r.Len() != 40 {
-		t.Fatalf("Len() = %d, want 40", r.Len())
-	}
-	got := r.Events()
-	if len(got) != 16 {
-		t.Fatalf("retained %d events, want 16", len(got))
-	}
-	for i, e := range got {
-		if want := int64(24 + i); e.Value != want {
-			t.Fatalf("event %d has value %d, want %d (oldest-first order)", i, e.Value, want)
-		}
-	}
-	r.Reset()
-	if r.Len() != 0 || len(r.Events()) != 0 {
-		t.Fatal("Reset did not clear the ring")
-	}
-}
-
-func TestRingConcurrentEmit(t *testing.T) {
-	r := NewRing(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Emit(Event{Kind: KindNote, Proc: g, Value: int64(i)})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() != 800 {
-		t.Fatalf("Len() = %d, want 800", r.Len())
-	}
-	if got := len(r.Events()); got != 64 {
-		t.Fatalf("retained %d events, want 64", got)
-	}
-}
-
 func TestMultiSink(t *testing.T) {
-	a, b := NewRing(16), NewRing(16)
+	a, b := &Capture{}, &Capture{}
 	var disabled *Tracer
 	s := MultiSink(nil, disabled, a, b)
 	s.Emit(Event{Kind: KindNote, Proc: -1})
-	if a.Len() != 1 || b.Len() != 1 {
+	if len(a.Events()) != 1 || len(b.Events()) != 1 {
 		t.Fatal("multi sink did not fan out")
 	}
 	if MultiSink(nil, disabled) != nil {
@@ -141,11 +96,11 @@ func TestMultiSink(t *testing.T) {
 }
 
 func TestTracerComposesAsSink(t *testing.T) {
-	r := NewRing(16)
-	outer := New(r)
-	inner := New(MultiSink(NewRing(16), outer))
+	c := &Capture{}
+	outer := New(c)
+	inner := New(MultiSink(&Capture{}, outer))
 	inner.Notef("hello %d", 7)
-	if r.Len() != 1 {
+	if len(c.Events()) != 1 {
 		t.Fatal("event did not propagate through the teed tracer")
 	}
 }
@@ -253,16 +208,6 @@ func BenchmarkDisabledEmit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchSink.Emit(e)
-	}
-}
-
-func BenchmarkRingEmit(b *testing.B) {
-	r := NewRing(8192)
-	tr := New(r)
-	e := Event{Kind: KindRoundEnd, Round: 3, Proc: -1, Rounds: 1, Messages: 100, CommBits: 400}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(e)
 	}
 }
 

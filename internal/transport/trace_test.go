@@ -66,13 +66,13 @@ func runNetworkedOpts(t *testing.T, n, tf int, inputs []int, proto sim.Protocol,
 // a self-consistent event stream whose exec-end matches the coordinator's
 // final snapshot.
 func TestTracedCoordinatorReconciles(t *testing.T) {
-	ring := trace.NewRing(4096)
+	capture := &trace.Capture{}
 	n, tf := 4, 0
 	res := runNetworkedOpts(t, n, tf, mixed(n, 3),
 		func(env sim.Env, input int) (int, error) { return phaseking.Consensus(env, input) },
-		Options{Trace: trace.New(ring)})
+		Options{Trace: trace.New(capture)})
 
-	sums, err := trace.Verify(ring.Events())
+	sums, err := trace.Verify(capture.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTracedCoordinatorReconciles(t *testing.T) {
 		t.Fatalf("trace has %d round-end events for %d rounds", sums[0].Rounds, res.Metrics.Rounds)
 	}
 	decides := 0
-	for _, e := range ring.Events() {
+	for _, e := range capture.Events() {
 		if e.Kind == trace.KindDecide {
 			decides++
 		}

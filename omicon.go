@@ -76,7 +76,7 @@ type (
 	Tracer = trace.Tracer
 )
 
-// NewTracer wraps a trace sink (e.g. trace.NewRing, trace.NewJSONL) as a
+// NewTracer wraps a trace sink (e.g. trace.Capture, trace.NewJSONL) as a
 // Tracer for Config.Trace. A nil tracer disables tracing at near-zero cost.
 func NewTracer(sink trace.Sink) *Tracer { return trace.New(sink) }
 

@@ -236,37 +236,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// counterMachine is a trivial deterministic state machine for the cluster
-// test.
-type counterMachine struct{ log []byte }
-
-func (m *counterMachine) Apply(cmd []byte) { m.log = append(m.log, cmd...) }
-func (m *counterMachine) Snapshot() []byte { return m.log }
-
-func TestClusterPublicAPI(t *testing.T) {
-	n := 36
-	machines := make([]omicon.StateMachine, n)
-	for i := range machines {
-		machines[i] = &counterMachine{}
-	}
-	c, err := omicon.NewCluster(n, 1, machines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := 0; slot < 2; slot++ {
-		proposals := make([][]byte, n)
-		for i := range proposals {
-			proposals[i] = []byte{byte(slot), byte(i)}
-		}
-		if _, err := c.Propose(proposals, uint64(slot)+5, omicon.StaticCrash([]int{0})); err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-	}
-	if err := c.VerifyConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func ExampleSolve() {
 	res, err := omicon.Solve(omicon.Config{
 		N: 64, T: 2,

@@ -46,7 +46,7 @@ func TestCommittedRecordingsReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := torture.Replay(e, shards)
+				res, err := torture.Replay(e, shards, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func replayOverTCP(t *testing.T, path string) {
 	}
 	simRes, err := sim.Run(sim.Config{
 		N: n, T: tf, Inputs: want.Inputs, Seed: want.Seed,
-		Adversary: sim.NewStrictScheduleAdversary(want.Schedule()), MaxRounds: bound + 64,
+		Adversary: sim.NewStrictScheduleAdversary(want.Adversary, want.Schedule()), MaxRounds: bound + 64,
 	}, proto)
 	if err != nil {
 		t.Fatalf("simulator replay: %v", err)
@@ -118,7 +118,7 @@ func replayOverTCP(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	rec, got := sim.NewRecorder(sim.NewStrictScheduleAdversary(want.Schedule()))
+	rec, got := sim.NewRecorder(sim.NewStrictScheduleAdversary(want.Adversary, want.Schedule()))
 	coord := transport.NewCoordinator(n, tf, rec, bound+64)
 	type served struct {
 		res *transport.CoordinatorResult
