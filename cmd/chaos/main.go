@@ -90,7 +90,7 @@ func run() (int, error) {
 		verify      = flag.Bool("verify", false, "also run the campaign cleanly and require byte-identical artifacts")
 		ignore      = flag.String("ignore", ".wal,.addr,.addr.tmp", "comma-separated artifact suffixes excluded from -verify dir comparison")
 		verbose     = flag.Bool("v", false, "stream child output")
-		statusAddr  = flag.String("status-addr", "", "serve the supervisor's /metrics, /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
+		statusAddr  = flag.String("status-addr", "", "serve the supervisor's /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
 		flightRec   = flag.String("flightrec", "", "dump the supervisor's flight-recorder ring to this JSONL file on SIGQUIT")
 	)
 	flag.Parse()
@@ -118,9 +118,9 @@ func run() (int, error) {
 		WorkerKills: *workerKills, WorkerStalls: *workerStall,
 	}
 
-	// The supervisor's own plane: fault-injection progress on /statusz,
-	// the chaos metric catalog on /metrics (docs/OBSERVABILITY.md). The
-	// child exposes its own plane through its own -status-addr flag.
+	// The supervisor's own plane: fault-injection progress and the chaos
+	// metric catalog on /statusz (docs/OBSERVABILITY.md). The child
+	// exposes its own plane through its own -status-addr flag.
 	plannedFaults := int64(plan.Kills + plan.Stalls + plan.Corruptions + plan.WorkerKills + plan.WorkerStalls)
 	var plane *telemetry.Plane
 	plane, err = telemetry.StartPlane(telemetry.PlaneOptions{

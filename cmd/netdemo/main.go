@@ -21,8 +21,9 @@
 //	    -grace 500ms -retries 3 -chaos -chaos-reset 0.05 -chaos-delay 0.2
 //
 // Observability: -trace writes the coordinator's JSONL event stream (see
-// docs/OBSERVABILITY.md), and -debug-addr serves Prometheus-text /metrics
-// plus /debug/pprof for the duration of the run:
+// docs/OBSERVABILITY.md), and -debug-addr serves /statusz (the wire
+// counters and live gauges as its metrics) plus /debug/pprof for the
+// duration of the run — the status mux the campaign commands mount:
 //
 //	netdemo -role local -n 8 -t 1 -algo phaseking \
 //	    -trace run.trace.jsonl -debug-addr 127.0.0.1:8055
@@ -88,7 +89,7 @@ func run(ctx context.Context) error {
 		retries   = flag.Int("retries", 0, "node-side reconnect attempts after a broken connection")
 		ioTmo     = flag.Duration("io-timeout", 30*time.Second, "per-frame I/O deadline")
 		accTmo    = flag.Duration("accept-timeout", 30*time.Second, "coordinator wait for all HELLOs")
-		debugAddr = flag.String("debug-addr", "", "coordinator: serve /metrics and /debug/pprof on this address for the run")
+		debugAddr = flag.String("debug-addr", "", "coordinator: serve /statusz and /debug/pprof on this address for the run")
 		traceFile = flag.String("trace", "", "coordinator: write a JSONL event trace to this file")
 
 		chaos      = flag.Bool("chaos", false, "inject seeded faults on node connections")

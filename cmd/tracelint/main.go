@@ -6,18 +6,9 @@
 //
 //	tracelint run.trace.jsonl [more.trace.jsonl ...]
 //
-// With -metrics the inputs are Prometheus text scrapes of a /metrics
-// endpoint instead: each file must parse as exposition format 0.0.4 with
-// well-formed names, declared types and coherent histograms, and across
-// consecutive files (scrapes of the same process, oldest first) counters
-// must never decrease. It is the CI gate behind the telemetry plane:
-//
-//	tracelint -metrics scrape-1.prom scrape-2.prom
-//
 // For each file it prints one line per exec segment (rounds and final
-// totals), or family/sample counts in -metrics mode. Exit status: 0 when
-// every file verifies, 1 on a malformed or non-reconciling input, 2 on
-// usage or I/O errors.
+// totals). Exit status: 0 when every file verifies, 1 on a malformed or
+// non-reconciling input, 2 on usage or I/O errors.
 package main
 
 import (
@@ -25,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"omicon/internal/telemetry"
 	"omicon/internal/trace"
 )
 
@@ -39,13 +29,9 @@ func main() {
 
 func run() (int, error) {
 	quiet := flag.Bool("q", false, "suppress per-segment lines")
-	metrics := flag.Bool("metrics", false, "lint Prometheus text scrapes instead of traces; consecutive files are checked for counter monotonicity")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		return 2, fmt.Errorf("usage: tracelint [-q] [-metrics] <file> ...")
-	}
-	if *metrics {
-		return lintMetrics(flag.Args(), *quiet)
+		return 2, fmt.Errorf("usage: tracelint [-q] <file> ...")
 	}
 	for _, path := range flag.Args() {
 		events, err := trace.ReadFile(path)
@@ -66,47 +52,6 @@ func run() (int, error) {
 		for i, s := range sums {
 			fmt.Printf("  segment %d (%s): %d rounds, %s\n", i, s.Note, s.Rounds, s.Final.Verbose())
 		}
-	}
-	return 0, nil
-}
-
-// lintMetrics validates Prometheus scrapes (telemetry.ParseText +
-// LintScrape) and, across consecutive files, counter monotonicity.
-func lintMetrics(paths []string, quiet bool) (int, error) {
-	var prev *telemetry.Scrape
-	var prevPath string
-	bad := 0
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return 2, err
-		}
-		sc, err := telemetry.ParseText(f)
-		f.Close()
-		if err != nil {
-			return 1, fmt.Errorf("%s: %w", path, err)
-		}
-		problems := telemetry.LintScrape(sc)
-		if prev != nil {
-			for _, p := range telemetry.CheckMonotonic(prev, sc) {
-				problems = append(problems, fmt.Sprintf("vs %s: %s", prevPath, p))
-			}
-		}
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "tracelint: %s: %s\n", path, p)
-			bad++
-		}
-		if !quiet {
-			samples := 0
-			for _, fam := range sc.Families {
-				samples += len(fam.Series)
-			}
-			fmt.Printf("%s: %d families, %d samples\n", path, len(sc.Families), samples)
-		}
-		prev, prevPath = sc, path
-	}
-	if bad > 0 {
-		return 1, fmt.Errorf("%d metric lint problems", bad)
 	}
 	return 0, nil
 }

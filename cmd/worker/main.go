@@ -34,7 +34,7 @@ func main() {
 		retryBase   = flag.Duration("retry-base", 0, "reconnect backoff base (default 100ms, exponential with jitter)")
 		retryCap    = flag.Duration("retry-cap", 0, "reconnect backoff cap (default 2s)")
 		quiet       = flag.Bool("q", false, "suppress diagnostics")
-		statusAddr  = flag.String("status-addr", "", "serve /metrics, /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
+		statusAddr  = flag.String("status-addr", "", "serve /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
 		flightRec   = flag.String("flightrec", "", "dump the flight-recorder ring to this JSONL file on SIGQUIT")
 	)
 	flag.Parse()
@@ -52,8 +52,8 @@ func main() {
 		logw = nil
 	}
 	// The worker's plane backs its own -status-addr endpoints and the
-	// snapshot it piggybacks on heartbeats for the coordinator's
-	// fleet-wide view (docs/OBSERVABILITY.md).
+	// snapshot it piggybacks on heartbeats for its row on the
+	// coordinator's /statusz (docs/OBSERVABILITY.md).
 	plane, err := telemetry.StartPlane(telemetry.PlaneOptions{
 		Program: "worker", Addr: *statusAddr, FlightRec: *flightRec, Log: logw,
 	})

@@ -7,6 +7,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"omicon/internal/telemetry"
 )
 
 // TestCommandSmoke builds every CLI and runs it once with fast flags,
@@ -29,11 +32,18 @@ func TestCommandSmoke(t *testing.T) {
 	// found by globbing corpusDir when its row runs.
 	const entryArg = "{entry}"
 	entryTrace := filepath.Join(bin, "entry.trace.jsonl")
-	promFile := filepath.Join(bin, "scrape.prom")
-	promText := "# HELP omicon_smoke_total smoke counter\n# TYPE omicon_smoke_total counter\nomicon_smoke_total 5\n"
-	if err := os.WriteFile(promFile, []byte(promText), 0o644); err != nil {
+	// A fixed /statusz for cmd/top to poll.
+	statusSrv, statusAddr, err := telemetry.StartServer("127.0.0.1:0", telemetry.ServerOptions{
+		Status: func() *telemetry.Statusz {
+			s := telemetry.BaseStatusz("smoke", time.Now())
+			s.Campaign = &telemetry.CampaignStatus{Kind: "torture", TrialsTotal: 10, TrialsDone: 4}
+			return s
+		},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer statusSrv.Close()
 
 	cases := []struct {
 		name   string
@@ -48,7 +58,7 @@ func TestCommandSmoke(t *testing.T) {
 		{"replay", []string{transcript}, "verify: OK", 0},
 		{"replay", []string{"-shards", "4", transcript}, "verify: OK", 0},
 		{"tracelint", []string{traceFile}, "1 segments", 0},
-		{"tracelint", []string{"-metrics", promFile, promFile}, "1 families, 1 samples", 0},
+		{"top", []string{"-once", "-addr", statusAddr}, "omicon top — smoke", 0},
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q"}, "50 trials, 0 violations", 0},
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-status-addr", "127.0.0.1:0", "-flightrec", flightRec}, "status: serving", 0},
 		{"torture", []string{"-trials", "50", "-seed", "1", "-q", "-journal", walFile}, "50 trials, 0 violations", 0},

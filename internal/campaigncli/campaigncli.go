@@ -103,7 +103,7 @@ func Register(program string, traced bool) *Session {
 	flag.StringVar(&s.addrFile, "addr-file", "", "write the bound -listen address to this file for cmd/worker -connect-file")
 	flag.IntVar(&s.workersRemote, "workers-remote", 1, "with -listen: minimum connected workers to wait for before starting")
 	flag.DurationVar(&s.remoteWait, "remote-wait", 10*time.Second, "with -listen: how long to wait for -workers-remote workers before proceeding degraded (in-process)")
-	flag.StringVar(&s.statusAddr, "status-addr", "", "serve /metrics, /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
+	flag.StringVar(&s.statusAddr, "status-addr", "", "serve /statusz, /flightrecz and /debug/pprof on this address (docs/OBSERVABILITY.md)")
 	flag.StringVar(&s.flightRec, "flightrec", "", "dump the flight-recorder ring to this JSONL file on SIGQUIT")
 	if traced {
 		flag.StringVar(&s.trace, "trace", "", "write every trial's JSONL event trace to this file")
@@ -149,12 +149,6 @@ func (s *Session) Start() error {
 		Workers: func() []telemetry.WorkerStatus {
 			if p := s.pool.Load(); p != nil {
 				return p.WorkerStatuses()
-			}
-			return nil
-		},
-		Fleet: func() []telemetry.Labeled {
-			if p := s.pool.Load(); p != nil {
-				return p.Fleet()
 			}
 			return nil
 		},
@@ -218,9 +212,14 @@ func (s *Session) start() error {
 			return err
 		}
 		s.sink = trace.NewJSONL(file)
-		// Tee trial events into the flight recorder so a SIGQUIT dump
-		// interleaves recent trace events with telemetry deltas.
-		s.Trace = trace.New(trace.MultiSink(s.sink, s.plane.Load().Rec))
+		var sink trace.Sink = s.sink
+		// Tee trial events into the flight recorder, when there is one, so
+		// a SIGQUIT dump interleaves recent trace events with telemetry
+		// deltas. (MultiSink would keep a typed-nil *Recorder.)
+		if rec := s.plane.Load().Rec; rec != nil {
+			sink = trace.MultiSink(s.sink, rec)
+		}
+		s.Trace = trace.New(sink)
 	}
 	return nil
 }

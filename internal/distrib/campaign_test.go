@@ -254,7 +254,7 @@ func TestPoisonTrialQuarantineSurfaced(t *testing.T) {
 // TestTelemetryCampaignByteIdentical is the telemetry plane's contract:
 // a fully instrumented distributed campaign — coordinator registry,
 // observed journal, worker snapshots piggybacked on heartbeats, and a
-// live status server scraped mid-flight — produces a report, log, corpus
+// live /statusz server polled afterwards — produces a report, log, corpus
 // and journal byte-identical to a plain in-process run.
 func TestTelemetryCampaignByteIdentical(t *testing.T) {
 	plain := runTortureCampaign(t, tortureOptions(), nil)
@@ -272,11 +272,10 @@ func TestTelemetryCampaignByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, bound, err := telemetry.StartServer("127.0.0.1:0", telemetry.ServerOptions{
-		Registry: reg,
-		Fleet:    p.Fleet,
 		Status: func() *telemetry.Statusz {
 			s := telemetry.BaseStatusz("torture", time.Now())
 			s.Workers = p.WorkerStatuses()
+			s.Metrics = reg.Snapshot()
 			return s
 		},
 	})
@@ -290,54 +289,37 @@ func TestTelemetryCampaignByteIdentical(t *testing.T) {
 	obs := runTortureCampaign(t, o, TortureRemote(p), journal.Observe(reg))
 	assertRunsIdentical(t, "plain", "telemetry-on", plain, obs)
 
-	// The fleet-wide /metrics scrape parses, lints clean, and carries
-	// both the coordinator catalog and worker-labelled remote series.
+	// /statusz carries the coordinator catalog in its metrics and both
+	// workers alive in the table, each row with its piggybacked snapshot.
 	deadline := time.Now().Add(5 * time.Second)
-	var sc *telemetry.Scrape
 	for {
-		resp, err := http.Get("http://" + bound + "/metrics")
+		resp, err := http.Get("http://" + bound + "/statusz")
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err = telemetry.ParseText(resp.Body)
+		var st telemetry.Statusz
+		derr := json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("fleet scrape does not parse: %v", err)
+		if derr != nil {
+			t.Fatalf("/statusz does not decode: %v", derr)
 		}
-		if f := sc.Families["omicon_worker_jobs_total"]; f != nil && len(f.Series) == 2 {
+		if st.Schema != telemetry.StatuszSchema {
+			t.Fatalf("statusz schema %q", st.Schema)
+		}
+		if got := st.Metrics.Value("omicon_torture_trials_total"); got != 24 {
+			t.Fatalf("coordinator metrics omicon_torture_trials_total = %v, want 24", got)
+		}
+		ready := len(st.Workers) == 2
+		for _, w := range st.Workers {
+			ready = ready && w.Alive && w.Metrics != nil && findCounter(w.Metrics, "omicon_worker_jobs_total") >= 0
+		}
+		if ready {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet scrape never carried both workers' series: %v", sc.Order)
+			t.Fatalf("/statusz never showed both workers alive with omicon_worker_jobs_total: %+v", st.Workers)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-	if problems := telemetry.LintScrape(sc); len(problems) != 0 {
-		t.Fatalf("fleet scrape lint: %v", problems)
-	}
-	f := sc.Families["omicon_torture_trials_total"]
-	if f == nil || f.Series["omicon_torture_trials_total"] != 24 {
-		t.Fatalf("coordinator trial counter missing from fleet scrape: %+v", f)
-	}
-
-	// /statusz decodes with both workers alive in the table.
-	resp, err := http.Get("http://" + bound + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st telemetry.Statusz
-	derr := json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	if st.Schema != telemetry.StatuszSchema || len(st.Workers) != 2 {
-		t.Fatalf("statusz = schema %q, %d workers", st.Schema, len(st.Workers))
-	}
-	for _, w := range st.Workers {
-		if !w.Alive || w.Metrics == nil {
-			t.Fatalf("worker row %+v", w)
-		}
 	}
 }
 

@@ -118,8 +118,8 @@ func (m *ResultMsg) WireKind() uint64 { return kindResult }
 // Heartbeat is the worker's periodic liveness beat; Seq increments per
 // beat (diagnostic only — detection is purely deadline-based). Stats
 // optionally piggybacks the worker's local telemetry snapshot (a JSON
-// telemetry.Snapshot) so the coordinator can expose a fleet-wide
-// /metrics view without a second channel; empty means no telemetry.
+// telemetry.Snapshot) so the coordinator's /statusz can show it in the
+// worker's row without a second channel; empty means no telemetry.
 type Heartbeat struct {
 	Seq   uint64
 	Stats []byte

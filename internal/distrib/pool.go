@@ -223,8 +223,7 @@ func (pw *poolWorker) info(alive bool) WorkerInfo {
 // WorkerInfo is one worker's live (or, when Stale, last-known) status as
 // surfaced on /statusz. Stats holds the worker's most recent
 // heartbeat-piggybacked telemetry snapshot (JSON telemetry.Snapshot);
-// stale snapshots are retained for post-mortems but excluded from the
-// fleet-wide /metrics merge.
+// stale snapshots are retained for post-mortems.
 type WorkerInfo struct {
 	ID          uint64
 	Name        string
@@ -597,22 +596,6 @@ func (p *Pool) WorkerStatuses() []telemetry.WorkerStatus {
 			ws.Metrics = snap
 		}
 		out = append(out, ws)
-	}
-	return out
-}
-
-// Fleet returns the live workers' piggybacked snapshots labelled by
-// worker name, ready for telemetry.MergeFleet. Stale workers are
-// excluded: their metrics describe a process that no longer exists.
-func (p *Pool) Fleet() []telemetry.Labeled {
-	var out []telemetry.Labeled
-	for _, wi := range p.Workers() {
-		if !wi.Alive {
-			continue
-		}
-		if snap := decodeSnapshot(wi.Stats); snap != nil {
-			out = append(out, telemetry.Labeled{Label: telemetry.L("worker", wi.Name), Snap: snap})
-		}
 	}
 	return out
 }

@@ -80,15 +80,13 @@ func TestWorkerSnapshotPiggybackedOnHeartbeat(t *testing.T) {
 		t.Fatal("no heartbeat carried a snapshot counting the executed job")
 	}
 
-	// The fleet view merges the worker's series under a worker label.
-	fleet := p.Fleet()
-	if len(fleet) != 1 || fleet[0].Label != telemetry.L("worker", "instrumented") {
-		t.Fatalf("fleet = %+v", fleet)
-	}
 	// WorkerStatuses decodes the same snapshot into the /statusz row.
 	sts := p.WorkerStatuses()
-	if len(sts) != 1 || !sts[0].Alive || sts[0].Metrics == nil || sts[0].Beats < 1 {
+	if len(sts) != 1 || sts[0].Name != "instrumented" || !sts[0].Alive || sts[0].Metrics == nil || sts[0].Beats < 1 {
 		t.Fatalf("worker statuses = %+v", sts)
+	}
+	if findCounter(sts[0].Metrics, "omicon_worker_jobs_total") < 1 {
+		t.Fatalf("status row metrics = %+v", sts[0].Metrics)
 	}
 	if sts[0].JobsDone != 1 || sts[0].InFlight != "" {
 		t.Fatalf("status row bookkeeping = %+v", sts[0])
@@ -136,7 +134,7 @@ func TestStaleSnapshotRetainedOnWorkerDeath(t *testing.T) {
 	cancel() // worker exits; the pool sees the connection drop
 	waitStats(t, p, "the worker's death", func(s PoolStats) bool { return s.WorkerDeaths >= 1 })
 
-	// The dead worker's last snapshot stays on /statusz, marked stale...
+	// The dead worker's last snapshot stays on /statusz, marked stale.
 	ws := p.Workers()
 	if len(ws) != 1 || !ws[0].Stale || ws[0].Alive {
 		t.Fatalf("workers after death = %+v", ws)
@@ -150,9 +148,5 @@ func TestStaleSnapshotRetainedOnWorkerDeath(t *testing.T) {
 	}
 	if findCounter(sts[0].Metrics, "omicon_worker_custom_total") != 7 {
 		t.Fatalf("stale snapshot content = %+v", sts[0].Metrics)
-	}
-	// ...but is excluded from the fleet-wide /metrics merge.
-	if fleet := p.Fleet(); len(fleet) != 0 {
-		t.Fatalf("stale worker leaked into the fleet merge: %+v", fleet)
 	}
 }

@@ -45,9 +45,9 @@ type WorkerOptions struct {
 	Log io.Writer
 	// Telemetry, when set, registers the worker-side metric catalog and
 	// piggybacks a JSON snapshot of the whole registry on every heartbeat
-	// frame, giving the coordinator a fleet-wide /metrics view. Strictly
-	// observational; nil disables the piggyback (heartbeats carry empty
-	// Stats).
+	// frame, which the coordinator's /statusz shows in this worker's row.
+	// Strictly observational; nil disables the piggyback (heartbeats carry
+	// empty Stats).
 	Telemetry *telemetry.Registry
 }
 
@@ -224,8 +224,8 @@ func serveSession(ctx context.Context, conn net.Conn, ex *Executors, reg *wire.R
 			case <-tick.C:
 				seq++
 				// Piggyback the local telemetry snapshot on the beat: the
-				// coordinator stashes the latest per worker and merges live
-				// ones into its fleet-wide /metrics.
+				// coordinator stashes the latest per worker and shows it in
+				// that worker's /statusz row.
 				var stats []byte
 				if opts.Telemetry != nil {
 					stats, _ = json.Marshal(opts.Telemetry.Snapshot())

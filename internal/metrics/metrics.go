@@ -100,9 +100,9 @@ func (c *Counters) AddRetry() { c.retries.Add(1) }
 // load, so a snapshot taken while updaters are still running can be torn
 // across counters — e.g. a message counted whose bits are not yet, making
 // even Check-validated invariants transiently false. Calling Snapshot
-// concurrently is race-free and fine for monitoring (the live /metrics
-// endpoint does exactly that), but the snapshot is exact only after the
-// execution has quiesced: every goroutine updating the counters has
+// concurrently is race-free and fine for monitoring (the TCP coordinator's
+// live /statusz does exactly that), but the snapshot is exact only after
+// the execution has quiesced: every goroutine updating the counters has
 // returned and the caller has synchronized with it (TestSnapshotQuiesced
 // pins this contract under the race detector).
 func (c *Counters) Snapshot() Snapshot {

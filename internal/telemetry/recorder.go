@@ -111,18 +111,17 @@ type flatKV struct {
 }
 
 // flatten reduces a snapshot to ordered series keys: counters and gauges
-// by value, histograms by observation count.
+// by value under their name, histograms by observation count under
+// name_count.
 func flatten(s *Snapshot) []flatKV {
 	var out []flatKV
 	for _, f := range s.Families {
-		for _, series := range f.Series {
-			key := f.Name + renderLabels(series.Labels, "", 0)
-			if f.Type == TypeHistogram {
-				out = append(out, flatKV{key + "_count", float64(series.Count)})
-				continue
-			}
-			out = append(out, flatKV{key, series.Value})
+		v := f.Series[0]
+		if f.Type == TypeHistogram {
+			out = append(out, flatKV{f.Name + "_count", float64(v.Count)})
+			continue
 		}
+		out = append(out, flatKV{f.Name, v.Value})
 	}
 	return out
 }

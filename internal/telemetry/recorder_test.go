@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -62,6 +63,40 @@ func TestRecorderSampleRecordsDeltas(t *testing.T) {
 	}
 	if e := bySeries["omicon_h_seconds_count"]; e.Value != 1 || e.Delta != 1 {
 		t.Fatalf("histogram delta entry = %+v", e)
+	}
+}
+
+// TestRecorderSampleBytesPinned pins the JSONL of flight-recorder delta
+// entries (timestamps zeroed): the series keys and fields a -flightrec
+// dump or /flightrecz carries.
+func TestRecorderSampleBytesPinned(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("omicon_torture_trials_total", "")
+	g := r.Gauge("omicon_torture_trials_target", "")
+	h := r.Histogram("omicon_torture_trial_seconds", "", []float64{1})
+	rec := NewRecorder(16)
+	rec.Sample(r)
+	c.Add(3)
+	g.Set(48)
+	h.Observe(0.5)
+	rec.Sample(r)
+	c.Add(2)
+	rec.Sample(r)
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	for _, e := range rec.Entries() {
+		e.TimeMillis = 0
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = `{"seq":1,"timeMillis":0,"kind":"delta","series":"omicon_torture_trial_seconds_count","value":1,"delta":1}
+{"seq":2,"timeMillis":0,"kind":"delta","series":"omicon_torture_trials_target","value":48,"delta":48}
+{"seq":3,"timeMillis":0,"kind":"delta","series":"omicon_torture_trials_total","value":3,"delta":3}
+{"seq":4,"timeMillis":0,"kind":"delta","series":"omicon_torture_trials_total","value":5,"delta":2}
+`
+	if b.String() != want {
+		t.Fatalf("delta entries moved:\ngot\n%swant\n%s", b.String(), want)
 	}
 }
 
@@ -146,12 +181,12 @@ func TestStatusServerEndpoints(t *testing.T) {
 	rec.Mark("boot")
 	started := time.Now()
 	srv, addr, err := StartServer("127.0.0.1:0", ServerOptions{
-		Registry: r,
 		Recorder: rec,
 		Status: func() *Statusz {
 			s := BaseStatusz("telemetry-test", started)
 			s.Campaign = &CampaignStatus{Kind: "test", TrialsTotal: 10, TrialsDone: 5}
 			s.Campaign.FillRate(2 * time.Second)
+			s.Metrics = r.Snapshot()
 			return s
 		},
 	})
@@ -160,39 +195,24 @@ func TestStatusServerEndpoints(t *testing.T) {
 	}
 	defer srv.Close()
 
-	get := func(path string) string {
+	get := func(path string, want int) string {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
-		var b strings.Builder
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			b.WriteString(sc.Text())
-			b.WriteByte('\n')
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
-		return b.String()
-	}
-
-	metrics := get("/metrics")
-	if !strings.Contains(metrics, "omicon_srv_total 5") {
-		t.Fatalf("/metrics missing counter:\n%s", metrics)
-	}
-	sc, err := ParseText(strings.NewReader(metrics))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probs := LintScrape(sc); len(probs) != 0 {
-		t.Fatalf("/metrics fails lint: %v", probs)
+		return string(body)
 	}
 
 	var status Statusz
-	if err := json.Unmarshal([]byte(get("/statusz")), &status); err != nil {
+	if err := json.Unmarshal([]byte(get("/statusz", http.StatusOK)), &status); err != nil {
 		t.Fatalf("/statusz not JSON: %v", err)
 	}
 	if status.Schema != StatuszSchema || status.Program != "telemetry-test" {
@@ -201,13 +221,42 @@ func TestStatusServerEndpoints(t *testing.T) {
 	if status.Campaign.RatePerSecond != 2.5 || status.Campaign.EtaSeconds != 2 {
 		t.Fatalf("rate/eta = %v/%v, want 2.5/2", status.Campaign.RatePerSecond, status.Campaign.EtaSeconds)
 	}
+	if got := status.Metrics.Value("omicon_srv_total"); got != 5 {
+		t.Fatalf("/statusz metrics omicon_srv_total = %v, want 5", got)
+	}
 
-	flight := get("/flightrecz")
+	flight := get("/flightrecz", http.StatusOK)
 	if !strings.Contains(flight, `"boot"`) {
 		t.Fatalf("/flightrecz missing mark:\n%s", flight)
 	}
 
-	if body := get("/debug/pprof/cmdline"); body == "" {
+	if body := get("/debug/pprof/cmdline", http.StatusOK); body == "" {
 		t.Fatal("/debug/pprof/cmdline empty")
+	}
+	get("/metrics", http.StatusNotFound)
+}
+
+// TestStartPlaneWithoutReadersStartsNoSampler: with neither a status
+// address nor a flight-recorder path nothing could read the ring, so the
+// plane builds no recorder and starts no sampler or handler.
+func TestStartPlaneWithoutReadersStartsNoSampler(t *testing.T) {
+	p, err := StartPlane(PlaneOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.Reg == nil {
+		t.Fatal("plane has no registry")
+	}
+	if p.Rec != nil || len(p.stops) != 0 || p.srv != nil {
+		t.Fatalf("plane without readers started rec=%v stops=%d srv=%v", p.Rec, len(p.stops), p.srv)
+	}
+	p, err = StartPlane(PlaneOptions{FlightRec: filepath.Join(t.TempDir(), "flightrec.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.Rec == nil || len(p.stops) != 2 {
+		t.Fatalf("plane with -flightrec: rec=%v stops=%d, want a recorder, its sampler and the SIGQUIT handler", p.Rec, len(p.stops))
 	}
 }

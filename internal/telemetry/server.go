@@ -12,49 +12,24 @@ import (
 // CLI mounts behind -status-addr (and the transport coordinator behind
 // -debug-addr).
 type ServerOptions struct {
-	// Registry backs the default /metrics handler; its snapshot is
-	// merged with Fleet() before rendering. May be nil.
-	Registry *Registry
-	// Fleet supplies labelled remote snapshots (piggybacked worker
-	// metrics) for the fleet-wide /metrics view. May be nil.
-	Fleet func() []Labeled
-	// MetricsHandler overrides the default /metrics handler entirely
-	// (used by the transport coordinator, which renders its own
-	// counters). When set, Registry/Fleet are not consulted.
-	MetricsHandler http.HandlerFunc
-	// Status builds the /statusz document per request. May be nil, in
-	// which case /statusz is not mounted.
+	// Status builds the /statusz document per request; its Metrics
+	// carries the process's registry snapshot.
 	Status func() *Statusz
 	// Recorder, when set, mounts /flightrecz serving the current ring
 	// contents as JSONL.
 	Recorder *Recorder
 }
 
-// NewMux builds the status mux: /metrics (Prometheus text), /statusz
-// (JSON), /flightrecz (flight-recorder JSONL) and the pprof handlers
-// under /debug/pprof/.
+// NewMux builds the status mux: /statusz (JSON), /flightrecz
+// (flight-recorder JSONL) and the pprof handlers under /debug/pprof/.
 func NewMux(opts ServerOptions) *http.ServeMux {
 	mux := http.NewServeMux()
-	metrics := opts.MetricsHandler
-	if metrics == nil {
-		metrics = func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			var remotes []Labeled
-			if opts.Fleet != nil {
-				remotes = opts.Fleet()
-			}
-			MergeFleet(opts.Registry.Snapshot(), remotes).WritePrometheus(w)
-		}
-	}
-	mux.HandleFunc("/metrics", metrics)
-	if opts.Status != nil {
-		mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(opts.Status())
-		})
-	}
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(opts.Status())
+	})
 	if opts.Recorder != nil {
 		mux.HandleFunc("/flightrecz", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/jsonl")

@@ -2,18 +2,18 @@ package telemetry
 
 import "sort"
 
-// SeriesSnap is one labelled series captured at snapshot time. For
+// SeriesSnap is a family's value captured at snapshot time. For
 // histograms, Buckets holds per-bucket (non-cumulative) counts with the
 // overflow bucket last, and Sum/Count the aggregate.
 type SeriesSnap struct {
-	Labels  []Label `json:"labels,omitempty"`
 	Value   float64 `json:"value,omitempty"`
 	Buckets []int64 `json:"buckets,omitempty"`
 	Sum     float64 `json:"sum,omitempty"`
 	Count   int64   `json:"count,omitempty"`
 }
 
-// FamilySnap is one metric family captured at snapshot time.
+// FamilySnap is one metric family captured at snapshot time. Series
+// holds the family's one value.
 type FamilySnap struct {
 	Name   string       `json:"name"`
 	Help   string       `json:"help,omitempty"`
@@ -23,8 +23,8 @@ type FamilySnap struct {
 }
 
 // Snapshot is a point-in-time copy of a Registry, ordered by family name
-// and series label key so equal registries snapshot to equal JSON. It is
-// the payload workers piggyback on heartbeat frames.
+// so equal registries snapshot to equal JSON. It is the "metrics" of a
+// /statusz document and the payload workers piggyback on heartbeat frames.
 type Snapshot struct {
 	Families []FamilySnap `json:"families"`
 }
@@ -45,41 +45,33 @@ func (r *Registry) Snapshot() *Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		f := r.fams[name]
-		fs := FamilySnap{Name: f.name, Help: f.help, Type: f.typ, Bounds: f.bounds}
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
-			ss := SeriesSnap{Labels: s.labels}
-			switch {
-			case s.c != nil:
-				ss.Value = float64(s.c.Value())
-			case s.h != nil:
-				ss.Buckets = make([]int64, len(s.h.counts))
-				for i := range s.h.counts {
-					ss.Buckets[i] = s.h.counts[i].Load()
-				}
-				ss.Sum = s.h.Sum()
-				ss.Count = s.h.Count()
-			case s.fn != nil:
-				ss.Value = s.fn()
-			default:
-				ss.Value = s.g.Value()
+		var ss SeriesSnap
+		switch {
+		case f.c != nil:
+			ss.Value = float64(f.c.Value())
+		case f.h != nil:
+			ss.Buckets = make([]int64, len(f.h.counts))
+			for i := range f.h.counts {
+				ss.Buckets[i] = f.h.counts[i].Load()
 			}
-			fs.Series = append(fs.Series, ss)
+			ss.Sum = f.h.Sum()
+			ss.Count = f.h.Count()
+		case f.fn != nil:
+			ss.Value = f.fn()
+		default:
+			ss.Value = f.g.Value()
 		}
-		snap.Families = append(snap.Families, fs)
+		snap.Families = append(snap.Families, FamilySnap{
+			Name: f.name, Help: f.help, Type: f.typ, Bounds: f.bounds, Series: []SeriesSnap{ss},
+		})
 	}
 	return snap
 }
 
-// Value reads the first series of the named family: the value for
-// counters/gauges, the sample count for histograms. Zero when the family
-// is absent — the convenience /statusz builders lean on, where a metric
-// that never registered simply reads as no progress. Nil-safe.
+// Value reads the named family: the value for counters/gauges, the sample
+// count for histograms. Zero when the family is absent — the convenience
+// /statusz builders lean on, where a metric that never registered simply
+// reads as no progress. Nil-safe.
 func (s *Snapshot) Value(name string) float64 {
 	if s == nil {
 		return 0
@@ -94,56 +86,4 @@ func (s *Snapshot) Value(name string) float64 {
 		return f.Series[0].Value
 	}
 	return 0
-}
-
-// Labeled pairs a remote snapshot with the label distinguishing its
-// origin (e.g. worker="w1") in a fleet-wide view.
-type Labeled struct {
-	Label Label
-	Snap  *Snapshot
-}
-
-// MergeFleet combines a local snapshot with labelled remote ones into a
-// single fleet-wide snapshot: each remote series gains its origin label,
-// and families with the same name share one header. Local series come
-// first within a family, then remotes in argument order; a family's help,
-// type and bounds are taken from its first contributor. Nil snapshots are
-// skipped.
-func MergeFleet(local *Snapshot, remotes []Labeled) *Snapshot {
-	out := &Snapshot{}
-	index := make(map[string]int)
-	add := func(fs FamilySnap, origin *Label) {
-		i, ok := index[fs.Name]
-		if !ok {
-			i = len(out.Families)
-			index[fs.Name] = i
-			out.Families = append(out.Families, FamilySnap{
-				Name: fs.Name, Help: fs.Help, Type: fs.Type, Bounds: fs.Bounds,
-			})
-		}
-		for _, s := range fs.Series {
-			if origin != nil {
-				s.Labels = sortedLabels(append([]Label{*origin}, s.Labels...))
-			}
-			out.Families[i].Series = append(out.Families[i].Series, s)
-		}
-	}
-	if local != nil {
-		for _, fs := range local.Families {
-			add(fs, nil)
-		}
-	}
-	for _, r := range remotes {
-		if r.Snap == nil {
-			continue
-		}
-		origin := r.Label
-		for _, fs := range r.Snap.Families {
-			add(fs, &origin)
-		}
-	}
-	sort.SliceStable(out.Families, func(i, j int) bool {
-		return out.Families[i].Name < out.Families[j].Name
-	})
-	return out
 }

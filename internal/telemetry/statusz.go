@@ -23,9 +23,9 @@ type CampaignStatus struct {
 }
 
 // WorkerStatus is one row of the per-worker table on a coordinator's
-// /statusz. Stale rows describe workers that died mid-campaign; their
-// last piggybacked snapshot is retained for post-mortems but excluded
-// from the fleet-wide /metrics merge.
+// /statusz; Metrics is the worker's latest piggybacked snapshot. Stale
+// rows describe workers that died mid-campaign; their last snapshot is
+// retained for post-mortems.
 type WorkerStatus struct {
 	ID                 uint64    `json:"id"`
 	Name               string    `json:"name"`
@@ -39,8 +39,9 @@ type WorkerStatus struct {
 	Metrics            *Snapshot `json:"metrics,omitempty"`
 }
 
-// Statusz is the /statusz document: process identity plus optional
-// campaign progress, worker table and local metrics snapshot.
+// Statusz is the /statusz document, the one rendering of a process's
+// telemetry: identity plus optional campaign progress, worker table and
+// local metrics snapshot.
 type Statusz struct {
 	Schema        string          `json:"schema"`
 	Program       string          `json:"program"`

@@ -1,8 +1,9 @@
 // Package telemetry implements the campaign telemetry plane: process-wide
-// counters, gauges and histograms registered in a Registry, rendered as
-// Prometheus text exposition (/metrics) or as a JSON Snapshot — the form
-// workers piggyback on dispatch heartbeats so a coordinator can expose a
-// fleet-wide view (docs/OBSERVABILITY.md, "Campaign telemetry").
+// counters, gauges and histograms registered in a Registry and rendered as
+// a JSON Snapshot — the "metrics" of the /statusz document, and the form
+// workers piggyback on dispatch heartbeats so a coordinator's /statusz
+// carries every worker's metrics in its worker rows (docs/OBSERVABILITY.md,
+// "Campaign telemetry").
 //
 // Telemetry is strictly observational. Nothing in this package feeds back
 // into campaign execution: the byte-identity conformance suites (report,
@@ -13,38 +14,27 @@
 //     accessors return nil metrics from a nil Registry. Instrumented
 //     packages therefore never branch on "telemetry enabled": the calls
 //     are always present and cost one nil check when disabled.
-//   - Registration is idempotent: asking for the same (name, labels)
-//     returns the existing metric, so a CLI can read the counters a
-//     library increments by re-requesting them from the shared Registry.
+//   - Registration is idempotent: asking for the same name returns the
+//     existing metric, so a CLI can read the counters a library increments
+//     by re-requesting them from the shared Registry.
 //
-// Snapshots order families by name and series by label, so rendering is
-// deterministic and scrape diffs are meaningful.
+// Snapshots order families by name, so rendering is deterministic.
 package telemetry
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Metric type names as they appear in TYPE comments and snapshots.
+// Metric type names as they appear in snapshots.
 const (
 	TypeCounter   = "counter"
 	TypeGauge     = "gauge"
 	TypeHistogram = "histogram"
 )
-
-// Label is one metric dimension.
-type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
-// L is shorthand for constructing a Label.
-func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // DefBuckets are the default latency buckets (seconds): microsecond trials
 // through multi-minute stalls.
@@ -152,20 +142,15 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// series is one labelled instance of a metric family.
-type series struct {
-	labels []Label
-	c      *Counter
-	g      *Gauge
-	fn     func() float64
-	h      *Histogram
-}
-
-// family groups all series sharing one metric name.
+// family is one registered metric: exactly one of c, g (with fn for a
+// GaugeFunc) and h is set, by typ.
 type family struct {
 	name, help, typ string
 	bounds          []float64
-	series          map[string]*series
+	c               *Counter
+	g               *Gauge
+	fn              func() float64
+	h               *Histogram
 }
 
 // Registry holds a process's metric families. The zero value is not
@@ -180,93 +165,68 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{fams: make(map[string]*family)} }
 
-// labelKey canonicalizes a label set (sorted by key) into a map key.
-func labelKey(labels []Label) string {
-	var b strings.Builder
-	for _, l := range sortedLabels(labels) {
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
-func sortedLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// lookup finds or creates the family and series for (name, labels); typ
-// mismatches panic — registering one name as two types is a build-time
-// mistake, mirroring wire.Registry.Register.
-func (r *Registry) lookup(name, help, typ string, bounds []float64, labels []Label) *series {
+// lookup finds or creates the family named name; typ mismatches panic —
+// registering one name as two types is a build-time mistake, mirroring
+// wire.Registry.Register.
+func (r *Registry) lookup(name, help, typ string, bounds []float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.fams[name]
 	if f == nil {
-		f = &family{name: name, help: help, typ: typ, bounds: bounds, series: make(map[string]*series)}
+		f = &family{name: name, help: help, typ: typ, bounds: bounds}
+		switch typ {
+		case TypeCounter:
+			f.c = &Counter{}
+		case TypeGauge:
+			f.g = &Gauge{}
+		case TypeHistogram:
+			f.h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+		}
 		r.fams[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s and %s", name, f.typ, typ))
 	}
-	key := labelKey(labels)
-	s := f.series[key]
-	if s == nil {
-		s = &series{labels: sortedLabels(labels)}
-		switch typ {
-		case TypeCounter:
-			s.c = &Counter{}
-		case TypeGauge:
-			s.g = &Gauge{}
-		case TypeHistogram:
-			s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
-		}
-		f.series[key] = s
-	}
-	return s
+	return f
 }
 
-// Counter returns the counter named name with the given labels, creating
-// it on first use. Repeated calls return the same counter. Nil-safe.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+// Counter returns the counter named name, creating it on first use.
+// Repeated calls return the same counter. Nil-safe.
+func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, TypeCounter, nil, labels).c
+	return r.lookup(name, help, TypeCounter, nil).c
 }
 
-// Gauge returns the gauge named name with the given labels, creating it
-// on first use. Nil-safe.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+// Gauge returns the gauge named name, creating it on first use. Nil-safe.
+func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, TypeGauge, nil, labels).g
+	return r.lookup(name, help, TypeGauge, nil).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at snapshot
 // time (e.g. a queue depth owned by another structure). Nil-safe.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	s := r.lookup(name, help, TypeGauge, nil, labels)
+	f := r.lookup(name, help, TypeGauge, nil)
 	r.mu.Lock()
-	s.fn = fn
+	f.fn = fn
 	r.mu.Unlock()
 }
 
 // Histogram returns the histogram named name with the given bucket upper
 // bounds (nil selects DefBuckets), creating it on first use. The bounds
 // of the first registration win. Nil-safe.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
 	if bounds == nil {
 		bounds = DefBuckets
 	}
-	return r.lookup(name, help, TypeHistogram, bounds, labels).h
+	return r.lookup(name, help, TypeHistogram, bounds).h
 }

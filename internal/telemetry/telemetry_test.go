@@ -2,21 +2,19 @@ package telemetry
 
 import (
 	"encoding/json"
-	"math"
-	"strings"
 	"testing"
 )
 
 func TestRegistryIdempotentAccessors(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("omicon_x_total", "help", L("k", "v"))
-	c2 := r.Counter("omicon_x_total", "ignored on re-register", L("k", "v"))
+	c1 := r.Counter("omicon_x_total", "help")
+	c2 := r.Counter("omicon_x_total", "ignored on re-register")
 	if c1 != c2 {
-		t.Fatal("same (name, labels) returned distinct counters")
+		t.Fatal("same name returned distinct counters")
 	}
-	c3 := r.Counter("omicon_x_total", "help", L("k", "other"))
+	c3 := r.Counter("omicon_y_total", "help")
 	if c3 == c1 {
-		t.Fatal("distinct labels returned the same counter")
+		t.Fatal("distinct names returned the same counter")
 	}
 	c1.Add(3)
 	if got := c2.Value(); got != 3 {
@@ -88,7 +86,7 @@ func TestSnapshotDeterministicAndJSONRoundTrip(t *testing.T) {
 	build := func(order []string) *Registry {
 		r := NewRegistry()
 		for _, name := range order {
-			r.Counter(name, "help for "+name, L("b", "2"), L("a", "1")).Add(7)
+			r.Counter(name, "help for "+name).Add(7)
 		}
 		r.Gauge("omicon_g", "").Set(1.5)
 		r.Histogram("omicon_h_seconds", "", []float64{1}).Observe(0.5)
@@ -111,145 +109,31 @@ func TestSnapshotDeterministicAndJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusAndParseBack(t *testing.T) {
+// TestSnapshotJSONBytesPinned pins the JSON of a production-shaped
+// registry: the bytes every /statusz document and heartbeat Stats payload
+// carries.
+func TestSnapshotJSONBytesPinned(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("omicon_trials_total", "trials completed").Add(42)
-	r.Gauge("omicon_workers_alive", "live workers").Set(3)
-	h := r.Histogram("omicon_trial_seconds", "per-trial wall time", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	r.Counter("omicon_torture_trials_total", "Trials committed.").Add(24)
+	r.Counter("omicon_torture_violations_total", "Violations found.")
+	r.Gauge("omicon_torture_trials_target", "Campaign size.").Set(48)
+	r.GaugeFunc("omicon_distrib_inflight_jobs", "Jobs on workers.", func() float64 { return 2.5 })
+	h := r.Histogram("omicon_torture_trial_seconds", "Per-trial wall time.", []float64{0.01, 0.1, 1})
+	for _, v := range []float64{0.005, 0.05, 0.5, 2} {
+		h.Observe(v)
 	}
-	text := b.String()
-	for _, want := range []string{
-		"# TYPE omicon_trials_total counter",
-		"omicon_trials_total 42",
-		"# TYPE omicon_workers_alive gauge",
-		"omicon_workers_alive 3",
-		"# TYPE omicon_trial_seconds histogram",
-		`omicon_trial_seconds_bucket{le="0.1"} 1`,
-		`omicon_trial_seconds_bucket{le="1"} 2`,
-		`omicon_trial_seconds_bucket{le="+Inf"} 3`,
-		"omicon_trial_seconds_sum 5.55",
-		"omicon_trial_seconds_count 3",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("rendered text missing %q:\n%s", want, text)
-		}
-	}
-	sc, err := ParseText(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("ParseText on own output: %v", err)
-	}
-	if probs := LintScrape(sc); len(probs) != 0 {
-		t.Fatalf("LintScrape on own output: %v", probs)
-	}
-	if got := sc.Families["omicon_trials_total"].Series["omicon_trials_total"]; got != 42 {
-		t.Fatalf("parsed counter = %v, want 42", got)
-	}
-}
-
-func TestPrometheusLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("omicon_esc_total", "", L("k", `a"b\c`)).Inc()
-	var b strings.Builder
-	r.Snapshot().WritePrometheus(&b)
-	if !strings.Contains(b.String(), `{k="a\"b\\c"}`) {
-		t.Fatalf("label not escaped:\n%s", b.String())
-	}
-}
-
-func TestMergeFleet(t *testing.T) {
-	local := NewRegistry()
-	local.Counter("omicon_trials_total", "trials").Add(10)
-	w1 := NewRegistry()
-	w1.Counter("omicon_worker_jobs_total", "jobs").Add(4)
-	w1.Counter("omicon_trials_total", "trials").Add(6)
-	merged := MergeFleet(local.Snapshot(), []Labeled{{Label: L("worker", "w1"), Snap: w1.Snapshot()}, {Snap: nil}})
-	var b strings.Builder
-	merged.WritePrometheus(&b)
-	text := b.String()
-	for _, want := range []string{
-		"omicon_trials_total 10",
-		`omicon_trials_total{worker="w1"} 6`,
-		`omicon_worker_jobs_total{worker="w1"} 4`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("merged text missing %q:\n%s", want, text)
-		}
-	}
-	if n := strings.Count(text, "# TYPE omicon_trials_total"); n != 1 {
-		t.Fatalf("family header repeated %d times:\n%s", n, text)
-	}
-	sc, err := ParseText(strings.NewReader(text))
+	got, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probs := LintScrape(sc); len(probs) != 0 {
-		t.Fatalf("lint on merged scrape: %v", probs)
-	}
-}
-
-func TestLintCatchesBadScrapes(t *testing.T) {
-	cases := map[string]string{
-		"sample without family": "omicon_orphan 1\n",
-		"malformed sample":      "# TYPE omicon_x counter\nomicon_x one\n",
-	}
-	for name, text := range cases {
-		if _, err := ParseText(strings.NewReader(text)); err == nil {
-			t.Errorf("%s: ParseText accepted %q", name, text)
-		}
-	}
-	sc, err := ParseText(strings.NewReader("# TYPE omicon_weird summary\nomicon_weird 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probs := LintScrape(sc); len(probs) == 0 {
-		t.Fatal("lint accepted unknown type")
-	}
-	sc, err = ParseText(strings.NewReader("# TYPE omicon_empty counter\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probs := LintScrape(sc); len(probs) == 0 {
-		t.Fatal("lint accepted family without samples")
-	}
-	// Histogram whose +Inf bucket disagrees with _count.
-	bad := `# TYPE omicon_h histogram
-omicon_h_bucket{le="1"} 2
-omicon_h_bucket{le="+Inf"} 3
-omicon_h_sum 4
-omicon_h_count 5
-`
-	sc, err = ParseText(strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probs := LintScrape(sc); len(probs) == 0 {
-		t.Fatal("lint accepted +Inf bucket != _count")
-	}
-}
-
-func TestCheckMonotonic(t *testing.T) {
-	parse := func(text string) *Scrape {
-		sc, err := ParseText(strings.NewReader(text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sc
-	}
-	prev := parse("# TYPE omicon_c_total counter\nomicon_c_total 5\n# TYPE omicon_g gauge\nomicon_g 9\n")
-	nextOK := parse("# TYPE omicon_c_total counter\nomicon_c_total 7\n# TYPE omicon_g gauge\nomicon_g 2\n")
-	if probs := CheckMonotonic(prev, nextOK); len(probs) != 0 {
-		t.Fatalf("false positives: %v", probs)
-	}
-	nextBad := parse("# TYPE omicon_c_total counter\nomicon_c_total 3\n")
-	probs := CheckMonotonic(prev, nextBad)
-	if len(probs) != 1 || !strings.Contains(probs[0], "omicon_c_total") {
-		t.Fatalf("counter regression not caught: %v", probs)
+	const want = `{"families":[` +
+		`{"name":"omicon_distrib_inflight_jobs","help":"Jobs on workers.","type":"gauge","series":[{"value":2.5}]},` +
+		`{"name":"omicon_torture_trial_seconds","help":"Per-trial wall time.","type":"histogram","bounds":[0.01,0.1,1],"series":[{"buckets":[1,1,1,1],"sum":2.555,"count":4}]},` +
+		`{"name":"omicon_torture_trials_target","help":"Campaign size.","type":"gauge","series":[{"value":48}]},` +
+		`{"name":"omicon_torture_trials_total","help":"Trials committed.","type":"counter","series":[{"value":24}]},` +
+		`{"name":"omicon_torture_violations_total","help":"Violations found.","type":"counter","series":[{}]}]}`
+	if string(got) != want {
+		t.Fatalf("snapshot JSON moved:\ngot  %s\nwant %s", got, want)
 	}
 }
 
@@ -263,11 +147,5 @@ func TestGaugeFuncSampledAtSnapshot(t *testing.T) {
 	v = 2
 	if got := r.Snapshot().Families[0].Series[0].Value; got != 2 {
 		t.Fatalf("gauge func = %v, want 2", got)
-	}
-}
-
-func TestFormatFloatInf(t *testing.T) {
-	if got := formatFloat(math.Inf(1)); got != "+Inf" {
-		t.Fatalf("formatFloat(+Inf) = %q", got)
 	}
 }

@@ -82,9 +82,10 @@ type Options struct {
 	// wire-level cost deltas, crashes, resume adoptions, decisions. Nil
 	// disables tracing.
 	Trace *trace.Tracer
-	// DebugAddr, when non-empty, serves Prometheus-text /metrics and
-	// /debug/pprof endpoints on the given listen address for the duration
-	// of Serve ("127.0.0.1:0" picks a free port; see DebugListenAddr).
+	// DebugAddr, when non-empty, serves /statusz (the wire counters and
+	// live gauges as its metrics) and /debug/pprof on the given listen
+	// address for the duration of Serve ("127.0.0.1:0" picks a free port;
+	// see DebugListenAddr).
 	DebugAddr string
 	// Ctx, when non-nil, cancels Serve: the accept phase unblocks as soon
 	// as the context is done and the round loop stops at the next round

@@ -3,54 +3,51 @@ package transport
 import (
 	"fmt"
 	"net/http"
+	"time"
 
 	"omicon/internal/telemetry"
 )
 
 // startDebugServer binds addr and serves the coordinator's observability
-// endpoints for the duration of one run:
+// endpoints for the duration of one run — the shared status mux
+// (telemetry.StartServer) the campaign CLIs mount:
 //
-//	/metrics      — Prometheus text exposition of the wire-level counters
+//	/statusz      — JSON status whose metrics carry the wire-level counters
 //	                plus live round/active/corrupted gauges
 //	/debug/pprof  — the standard Go profiling endpoints
 //
-// The mux itself is the shared campaign status server
-// (telemetry.StartServer); only the /metrics handler is transport's own,
-// because the wire counters predate the telemetry registry and are
-// rendered directly from atomic state. Handlers read only atomics, so
+// The values are GaugeFuncs read from atomic state at request time, so
 // they are safe concurrently with the Serve goroutine; counter snapshots
 // taken mid-run may be torn across fields (see metrics.Counters.Snapshot),
 // which is acceptable for monitoring. The mux is private — the
 // process-global http.DefaultServeMux is left untouched.
 func (c *Coordinator) startDebugServer(addr string) (*http.Server, string, error) {
+	reg := telemetry.NewRegistry()
+	for _, m := range []struct {
+		name, help string
+		v          func() int64
+	}{
+		{"omicon_rounds_total", "Completed synchronous communication rounds.", func() int64 { return c.counters.Snapshot().Rounds }},
+		{"omicon_messages_total", "Point-to-point messages observed on the wire.", func() int64 { return c.counters.Snapshot().Messages }},
+		{"omicon_comm_bits_total", "Total bits of all sent messages.", func() int64 { return c.counters.Snapshot().CommBits }},
+		{"omicon_crashes_total", "Node failures absorbed as in-model faults.", func() int64 { return c.counters.Snapshot().Crashes }},
+		{"omicon_retries_total", "Reconnect adoptions after broken connections.", func() int64 { return c.counters.Snapshot().Retries }},
+		{"omicon_live_round", "Round currently at or past the barrier.", c.liveRound.Load},
+		{"omicon_live_active", "Nodes still participating.", c.liveActive.Load},
+		{"omicon_live_corrupted", "Adversary budget consumed (corrupted processes).", c.liveCorrupted.Load},
+	} {
+		reg.GaugeFunc(m.name, m.help, func() float64 { return float64(m.v()) })
+	}
+	started := time.Now()
 	srv, bound, err := telemetry.StartServer(addr, telemetry.ServerOptions{
-		MetricsHandler: c.handleMetrics,
+		Status: func() *telemetry.Statusz {
+			s := telemetry.BaseStatusz("coordinator", started)
+			s.Metrics = reg.Snapshot()
+			return s
+		},
 	})
 	if err != nil {
 		return nil, "", fmt.Errorf("transport: debug listener: %w", err)
 	}
 	return srv, bound, nil
-}
-
-// handleMetrics renders the Prometheus text exposition format (version
-// 0.0.4): `# HELP` / `# TYPE` comment pairs followed by one sample per
-// metric, no labels.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s := c.counters.Snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, m := range []struct {
-		name, kind, help string
-		v                int64
-	}{
-		{"omicon_rounds_total", "counter", "Completed synchronous communication rounds.", s.Rounds},
-		{"omicon_messages_total", "counter", "Point-to-point messages observed on the wire.", s.Messages},
-		{"omicon_comm_bits_total", "counter", "Total bits of all sent messages.", s.CommBits},
-		{"omicon_crashes_total", "counter", "Node failures absorbed as in-model faults.", s.Crashes},
-		{"omicon_retries_total", "counter", "Reconnect adoptions after broken connections.", s.Retries},
-		{"omicon_live_round", "gauge", "Round currently at or past the barrier.", c.liveRound.Load()},
-		{"omicon_live_active", "gauge", "Nodes still participating.", c.liveActive.Load()},
-		{"omicon_live_corrupted", "gauge", "Adversary budget consumed (corrupted processes).", c.liveCorrupted.Load()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.kind, m.name, m.v)
-	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"omicon/internal/codec"
 	"omicon/internal/phaseking"
 	"omicon/internal/sim"
+	"omicon/internal/telemetry"
 	"omicon/internal/trace"
 )
 
@@ -96,7 +98,7 @@ func TestTracedCoordinatorReconciles(t *testing.T) {
 	}
 }
 
-// TestDebugServerEndpoints exercises /metrics and /debug/pprof directly.
+// TestDebugServerEndpoints exercises /statusz and /debug/pprof directly.
 func TestDebugServerEndpoints(t *testing.T) {
 	coord := NewCoordinator(4, 1, nil, 0)
 	coord.counters.AddRounds(3)
@@ -110,39 +112,50 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 	defer srv.Close()
 
-	get := func(path string) string {
+	get := func(path string, want int) []byte {
 		t.Helper()
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(b)
+		return b
 	}
 
-	body := get("/metrics")
-	for _, w := range []string{
-		"# TYPE omicon_rounds_total counter",
-		"omicon_rounds_total 3",
-		"omicon_messages_total 1",
-		"omicon_comm_bits_total 128",
-		"# TYPE omicon_live_round gauge",
-		"omicon_live_round 3",
-		"omicon_live_active 4",
-		"omicon_crashes_total 0",
+	var status telemetry.Statusz
+	if err := json.Unmarshal(get("/statusz", http.StatusOK), &status); err != nil {
+		t.Fatalf("/statusz not JSON: %v", err)
+	}
+	if status.Schema != telemetry.StatuszSchema || status.Metrics == nil {
+		t.Fatalf("/statusz = %+v", status)
+	}
+	values := map[string]float64{}
+	for _, f := range status.Metrics.Families {
+		values[f.Name] = status.Metrics.Value(f.Name)
+	}
+	for name, want := range map[string]float64{
+		"omicon_rounds_total":    3,
+		"omicon_messages_total":  1,
+		"omicon_comm_bits_total": 128,
+		"omicon_crashes_total":   0,
+		"omicon_retries_total":   0,
+		"omicon_live_round":      3,
+		"omicon_live_active":     4,
+		"omicon_live_corrupted":  0,
 	} {
-		if !strings.Contains(body, w) {
-			t.Fatalf("/metrics missing %q in:\n%s", w, body)
+		if got, ok := values[name]; !ok || got != want {
+			t.Fatalf("/statusz metrics %s = %v (present %v), want %v", name, got, ok, want)
 		}
 	}
-	get("/debug/pprof/cmdline") // must serve 200
+	get("/debug/pprof/cmdline", http.StatusOK)
+	get("/metrics", http.StatusNotFound)
 }
 
 // TestDebugAddrWiring checks Options.DebugAddr: Serve binds it, exposes the
