@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check soak vet loc experiments torture tournament tournament-smoke fuzz bench bench-smoke chaos-smoke distrib-smoke
+.PHONY: build test check soak vet loc experiments torture tournament tournament-smoke fuzz bench bench-smoke bench-pairs chaos-smoke distrib-smoke
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,39 @@ bench-smoke:
 		last=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace $$t | tail -n 1); \
 		case "$$last" in '{"correct": true'*) ;; *) echo "$$last"; exit 1 ;; esac; \
 	done; done
+
+# bench-pairs runs alternating pairs of one benchmark workload on a parent
+# revision and on this checkout, one pair per seed, and compares them:
+#
+#   make bench-pairs W=sweep-n256 SEEDS="11 12 13 14 15" PARENT=HEAD~1
+#
+# PARENT is checked out under .bench-pairs/ and removed afterwards; which
+# side runs first alternates seed by seed. Each run is 15 s untraced; its
+# record lands in .bench-pairs/rec/, its output in .bench-pairs/log/, and
+# each side's records are joined into .bench-pairs/{parent,change}.json.
+W ?= sweep-n256
+SEEDS ?= 11 12 13 14 15 16 17 18 19 20
+PARENT ?= HEAD~1
+BP = $(CURDIR)/.bench-pairs
+bench-pairs:
+	@rm -rf $(BP) && git worktree prune && mkdir -p $(BP)/rec $(BP)/log && \
+	git worktree add --detach $(BP)/parent $(PARENT) && \
+	trap 'git worktree remove --force $(BP)/parent' EXIT && \
+	first=parent second=change && \
+	for s in $(SEEDS); do \
+		for side in $$first $$second; do \
+			root=$(CURDIR); [ $$side = parent ] && root=$(BP)/parent; \
+			echo "bench-pairs: $(W) seed $$s $$side"; \
+			bash $$root/benchmark/run.sh --workload $(W) --seed $$s --seconds 15 --trace 0 \
+				--out $(BP)/log/$$side-$$s --record $(BP)/rec/$$side-$$s.json \
+				> $(BP)/log/$$side-$$s.txt || exit 1; \
+		done; \
+		t=$$first first=$$second second=$$t; \
+	done && \
+	for side in parent change; do \
+		{ printf '{"runs":['; sep=; for f in $(BP)/rec/$$side-*.json; do printf '%s' "$$sep"; cat $$f; sep=,; done; printf ']}\n'; } > $(BP)/$$side.json; \
+	done && \
+	$(GO) run -C benchmark . -compare $(BP)/parent.json $(BP)/change.json
 
 # fuzz runs every native fuzz target for a bounded stretch: mutated
 # schedules through the replay adversary (engine must never panic, oracle

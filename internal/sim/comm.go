@@ -39,19 +39,25 @@ type CommPhase struct {
 	sources   []*rng.Source
 
 	legality Legality
-	orderer  Orderer[Message]
 	view     View
+	roundMemory
 
-	outbox     []Message
-	droppedBuf []bool // all false between phases
-	dropped    []bool // this round's drop mask; nil when nothing dropped
-	drops      []int  // the indices the action dropped, unmarked after the fill
-	cuts       []int  // chunk w's pids are [cuts[w], cuts[w+1])
-	chunks     []int  // chunk w's outbox indices are [chunks[w], chunks[w+1]), set by the driver
-	counts     []int  // n per chunk: messages per receiver, less drops, then fill cursors
-	inStarts   []int  // n+1 receiver-major carve offsets into arena
+	outbox   []Message
+	dropped  []bool // this round's drop mask; nil when nothing dropped
+	drops    []int  // the indices the action listed, unmarked after the fill
+	cuts     []int  // chunk w's pids are [cuts[w], cuts[w+1])
+	chunks   []int  // chunk w's outbox indices are [chunks[w], chunks[w+1]), set by the driver
+	counts   []int  // n per chunk: messages per receiver, less drops, then fill cursors
+	inStarts []int  // n+1 receiver-major carve offsets into arena
+	inboxes  [][]Message
+}
+
+// roundMemory is what a phase grows to the size of its largest round. Init
+// starts it empty; the engine instead hands over a pooled crew's (coro.go).
+type roundMemory struct {
 	arena      []Message
-	inboxes    [][]Message
+	droppedBuf []bool // all false between phases
+	orderer    Orderer[Message]
 }
 
 // Init sets c up for an n-process execution with corruption budget t
@@ -149,8 +155,8 @@ func (c *CommPhase) open(round int, out []Message, bits int64, ordered bool) boo
 	if !ordered {
 		c.orderer.Sort(out, c.n)
 	}
-	if cap(c.droppedBuf) < len(out) {
-		c.droppedBuf = make([]bool, len(out))
+	if len(c.droppedBuf) < len(out) {
+		c.droppedBuf = make([]bool, max(len(out), 2*len(c.droppedBuf)))
 	}
 	c.view.Round = round
 	c.view.Outbox = out
@@ -181,11 +187,14 @@ func (c *CommPhase) viewChunk(w int) {
 // judge consults the adversary on the filled View and applies its action
 // through Legality — inherently serial, the corrupted set being stateful —
 // into the all-false drop mask, uncounting each dropped message. It returns
-// the number of dropped messages; an error ends the execution.
+// the number of dropped messages; an error ends the execution. Every mark
+// is an index the action listed, so unmark clears them however the phase
+// ends, also from the engine's shutdown after an error or a panic.
 func (c *CommPhase) judge() (int, error) {
 	act := c.adv.Step(&c.view)
 	drained := c.legality.numCorr
 	mask := c.droppedBuf[:len(c.outbox)]
+	c.drops = act.Drop
 	ndrop, err := c.legality.checkIntoCleared(c.view.Round, c.outbox, act, mask, c.uncount)
 	if err != nil {
 		return 0, err
@@ -205,7 +214,7 @@ func (c *CommPhase) judge() (int, error) {
 		}
 	}
 	if ndrop > 0 {
-		c.dropped, c.drops = mask, act.Drop
+		c.dropped = mask
 	}
 	return ndrop, nil
 }
@@ -220,10 +229,12 @@ func (c *CommPhase) uncount(idx int) {
 }
 
 // unmark returns the drop mask to all false by clearing only the indices
-// the action dropped.
+// the action listed; a rejected action may list some out of range.
 func (c *CommPhase) unmark() {
 	for _, idx := range c.drops {
-		c.droppedBuf[idx] = false
+		if uint(idx) < uint(len(c.droppedBuf)) {
+			c.droppedBuf[idx] = false
+		}
 	}
 	c.drops = nil
 }

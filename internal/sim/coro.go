@@ -24,6 +24,14 @@ import (
 // collections is dropped, and a cleanup then stops its coroutines, whose
 // goroutines exit. Nothing a coroutine references may lead back to its crew
 // (procEnv.eng is cleared on release), or the cleanup could never run.
+//
+// A crew also carries the round memory of its executions — each shard's
+// outbox, their concatenation, the inbox arena, the drop mask and the sort
+// scratch — grown to the largest round it has served, so an execution
+// starts with buffers a previous one grew. None of it is cleared on release
+// (the drop mask is all false between phases anyway): a pooled crew keeps
+// the last execution's payloads reachable until a later round overwrites
+// them or the pool drops the crew, as a parked coroutine keeps its stack.
 
 // errAborted unwinds a process parked in Exchange when its execution
 // aborts; it never escapes the package.
@@ -44,9 +52,13 @@ type coroutine struct {
 }
 
 // crew is what the pool holds. The cleanup that stops the coroutines owns
-// the list, not the crew, so an unreachable crew really is collectable.
+// the list, not the crew, so an unreachable crew really is collectable. The
+// round memory is taken by newEngine and given back by shutdown.
 type crew struct {
-	procs *[]coroutine
+	procs    *[]coroutine
+	outboxes [][]Message // shard w's outbox, at length 0
+	merged   []Message   // the concatenated outbox of k >= 2 shards, at length 0
+	roundMemory
 }
 
 var crews = sync.Pool{New: func() any {

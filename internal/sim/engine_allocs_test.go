@@ -5,7 +5,9 @@ package sim
 import (
 	"math"
 	"os"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestEngineRoundAllocationBudget gates the hot-path allocation work: with
@@ -67,6 +69,50 @@ func TestSetupAllocsPerProcess(t *testing.T) {
 		if per := allocs / n; per >= 2 {
 			t.Errorf("shards=%d: %.2f allocations per process (%.0f per run), want under 2", shards, per, allocs)
 		}
+	}
+}
+
+// TestRoundMemoryReuseAllocs pins the round memory a pooled crew carries
+// (coro.go): n=256 processes send to all n, three rounds, behind a
+// pass-through adversary. The first execution after the pool is emptied
+// grows the outbox by doubling, so it allocates at most 2.5x the outbox and
+// arena bytes of its largest round (append's 1.25x growth alone would
+// allocate about 5x the outbox); a second one, back to back, reuses them
+// and allocates under a quarter of the first's bytes.
+func TestRoundMemoryReuseAllocs(t *testing.T) {
+	onOneP(t)
+	const n, rounds = 256, 3
+	pids := make([]int, n)
+	for i := range pids {
+		pids[i] = i
+	}
+	proto := func(env Env, input int) (int, error) {
+		for r := 0; r < rounds; r++ {
+			env.Send(bitPayload{1}, pids)
+			env.Exchange(nil)
+		}
+		return 0, nil
+	}
+	in := make([]int, n)
+	bytesOf := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(Config{N: n, T: 0, Inputs: in, Seed: 1, Adversary: passThrough{}}, proto); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	runtime.GC() // the pool keeps a crew through two collections
+	runtime.GC()
+	first, second := bytesOf(), bytesOf()
+	round := uint64(2 * n * n * unsafe.Sizeof(Message{}))
+	t.Logf("largest round %d bytes; first execution %d, second %d", round, first, second)
+	if first > round*5/2 {
+		t.Errorf("first execution allocated %d bytes, over 2.5x the %d bytes of its largest round's outbox and arena", first, round)
+	}
+	if second >= first/4 {
+		t.Errorf("second execution allocated %d bytes, not under a quarter of the first's %d", second, first)
 	}
 }
 

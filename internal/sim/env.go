@@ -39,10 +39,11 @@ type Env interface {
 	// docs/PERFORMANCE.md depends on it):
 	//
 	//   - The returned slice is valid only until this process's next
-	//     Exchange call — the engine reuses the inbox backing arena for
-	//     the following round. Protocols must finish reading (or copy)
-	//     an inbox before exchanging again; none of the protocols here
-	//     retain inboxes across rounds.
+	//     Exchange call or its return — the engine reuses the inbox
+	//     backing arena for the following round, and a later execution
+	//     for its own. Protocols must finish reading (or copy) an inbox
+	//     before exchanging again; none of the protocols here retain
+	//     inboxes across rounds.
 	//   - Send's to and Exchange's out are read only during the call:
 	//     the caller may reuse their backing as soon as it returns.
 	//   - Payloads are immutable once staged. A payload travels by
@@ -124,7 +125,7 @@ func (e *procEnv) Exchange(out []Message) []Message {
 // below the sender's previous one.
 func (e *procEnv) stage(payload wire.Marshaler, bits int64, to []int) {
 	st, from := e.shard, e.id
-	out, counts := st.outbox, st.counts
+	out, counts := grow(st.outbox, len(to)), st.counts
 	last := -1
 	if k := len(out); k > 0 && out[k-1].From == from {
 		last = out[k-1].To
@@ -145,6 +146,17 @@ func (e *procEnv) stage(payload wire.Marshaler, bits int64, to []int) {
 	}
 	st.sentBits += bits * int64(len(out)-len(st.outbox))
 	st.outbox = out
+}
+
+// grow returns buf with room for n more messages. It reallocates to at
+// least twice the capacity, so the buffers allocated on the way to a
+// capacity C sum to under 2C; append's growth of large slices, about
+// 1.25x, sums to about 5C.
+func grow(buf []Message, n int) []Message {
+	if len(buf)+n <= cap(buf) {
+		return buf
+	}
+	return append(make([]Message, 0, max(len(buf)+n, 2*cap(buf))), buf...)
 }
 
 func (e *procEnv) SetSnapshot(s any) {

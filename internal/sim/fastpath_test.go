@@ -13,13 +13,26 @@ func (passThrough) Step(*View) Action { return Action{} }
 // its inbox, on its random draws, and on multi-round behaviour — anything
 // the fast path could get wrong shows up as a different Result.
 func orderSensitive(env Env, input int) (int, error) {
+	acc, err := orderDigest(env, input)
+	return acc % 2, err
+}
+
+// orderDigest is orderSensitive deciding its whole accumulator rather than
+// one bit of it, so a change to any inbox shows in the Result.
+func orderDigest(env Env, input int) (int, error) {
 	all := make([]int, env.N())
 	for i := range all {
 		all[i] = i
 	}
+	return sendDigest(env, input, all), nil
+}
+
+// sendDigest sends to targets, in their order, for four rounds and mixes
+// every delivered message into the digest it returns.
+func sendDigest(env Env, input int, targets []int) int {
 	acc := env.Rand().Bit()
 	for r := 0; r < 4; r++ {
-		env.Send(bitPayload{(input + r) % 2}, all)
+		env.Send(bitPayload{(input + r) % 2}, targets)
 		in := env.Exchange(nil)
 		for i, m := range in {
 			// Position-weighted mix: any reordering of the inbox
@@ -27,7 +40,7 @@ func orderSensitive(env Env, input int) (int, error) {
 			acc = (acc*31 + (i+1)*m.From + m.Payload.(bitPayload).b) % 1000003
 		}
 	}
-	return acc % 2, nil
+	return acc
 }
 
 // TestNoFaultsFastPathIdenticalResults pins the fast-path satellite: a

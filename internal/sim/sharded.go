@@ -93,7 +93,8 @@ type engine struct {
 }
 
 // newEngine sets up one execution of the normalized cfg: shards, workers
-// (k >= 2 only) and a crew of coroutines handed processes 0..N-1.
+// (k >= 2 only) and a crew of coroutines handed processes 0..N-1, whose
+// round memory the phases grow into.
 func newEngine(cfg Config, proto Protocol) *engine {
 	n := cfg.N
 	k := cfg.Shards
@@ -116,8 +117,17 @@ func newEngine(cfg Config, proto Protocol) *engine {
 	// to rng.New(seed, p).
 	srcBacking := rng.NewSources(cfg.Seed, n)
 	s.crew, s.procs = getCrew(n)
+	c := s.crew
+	s.roundMemory = c.roundMemory
+	if k > 1 {
+		s.outbox = c.merged
+	}
+	for len(c.outboxes) < k {
+		c.outboxes = append(c.outboxes, nil)
+	}
 	for w := range s.shards {
 		st := &s.shards[w]
+		st.outbox = c.outboxes[w]
 		st.counts = s.counts[w*n : (w+1)*n]
 		st.dones = make([]doneEvent, 0, s.cuts[w+1]-s.cuts[w])
 		for p := s.cuts[w]; p < s.cuts[w+1]; p++ {
@@ -144,8 +154,9 @@ func newEngine(cfg Config, proto Protocol) *engine {
 
 // shutdown unwinds every process still parked mid-protocol — resumed with
 // aborting set, each panics errAborted inside its own coroutine, running
-// its deferred code there — then returns the crew to the pool and stops
-// the workers.
+// its deferred code there — stops the workers, then returns the crew to the
+// pool with the round memory, drop mask unmarked and outboxes at length 0;
+// the engine keeps no reference to any of it.
 func (s *engine) shutdown() {
 	s.aborting = true
 	for p := range s.procs {
@@ -156,11 +167,21 @@ func (s *engine) shutdown() {
 		env := co.env
 		env.eng, env.shard, env.rand, env.err = nil, nil, nil, nil
 	}
-	crews.Put(s.crew)
 	for w := range s.tasks {
 		close(s.tasks[w])
 	}
 	s.workerWG.Wait()
+	s.unmark()
+	c := s.crew
+	for w := range s.shards {
+		c.outboxes[w], s.shards[w].outbox = s.shards[w].outbox[:0], nil
+	}
+	if len(s.shards) > 1 {
+		c.merged = s.outbox[:0]
+	}
+	c.roundMemory, s.roundMemory = s.roundMemory, roundMemory{}
+	s.outbox, s.dropped, s.view.Outbox, s.inboxes = nil, nil, nil, nil
+	crews.Put(c)
 }
 
 // loop is the coordinator: it drives the step phases and runs one
@@ -220,16 +241,9 @@ func (s *engine) communicate() error {
 			return err
 		}
 	}
-	// One shard's outbox is the round outbox; more concatenate into the
-	// kernel's, keeping its grown capacity round to round. Chunk w is
-	// shard w's range, its counts already staged.
-	out := s.shards[0].outbox
-	if len(s.shards) > 1 {
-		out = s.outbox[:0]
-		for w := range s.shards {
-			out = append(out, s.shards[w].outbox...)
-		}
-	}
+	// Chunk w is shard w's range, its counts already staged. One shard's
+	// outbox is the round outbox; more concatenate into the kernel's,
+	// keeping its grown capacity round to round.
 	var bits int64
 	ordered := true
 	for w := range s.shards {
@@ -237,6 +251,13 @@ func (s *engine) communicate() error {
 		bits += st.sentBits
 		ordered = ordered && !st.unordered
 		s.chunks[w+1] = s.chunks[w] + len(st.outbox)
+	}
+	out := s.shards[0].outbox
+	if len(s.shards) > 1 {
+		out = grow(s.outbox[:0], s.chunks[len(s.shards)])
+		for w := range s.shards {
+			out = append(out, s.shards[w].outbox...)
+		}
 	}
 	if s.open(s.round, out, bits, ordered) {
 		s.runPhase(taskView)
